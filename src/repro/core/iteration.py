@@ -129,25 +129,11 @@ class IterationSchedule:
 
     def schedule_software(self, uid, option):
         """Place ``uid`` with a software option (Fig. 4.3.3)."""
-        needs = self.software_needs(uid, option)
-        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
-        self.place_software(uid, option, needs, cycle)
-
-    def software_needs(self, uid, option):
-        """Resource demand of placing ``uid`` with a software option.
-
-        Split out of :meth:`schedule_software` so the batched runner
-        can stage the first-fit probes of a whole lockstep step and
-        resolve them in one vectorised scan
-        (:func:`~repro.sched.resources.first_fit_batch`).
-        """
         operation = self.dfg.op(uid)
-        return Needs(reads=len(operation.sources),
-                     writes=len(operation.dests),
-                     fu_kind=option.fu_kind)
-
-    def place_software(self, uid, option, needs, cycle):
-        """Commit a software placement whose first-fit cycle is known."""
+        needs = Needs(reads=len(operation.sources),
+                      writes=len(operation.dests),
+                      fu_kind=option.fu_kind)
+        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
         self.table.place(cycle, needs)
         self._commit(uid, option, cycle)
 
@@ -237,20 +223,10 @@ class IterationSchedule:
         return True
 
     def _open_cluster(self, uid, option):
-        io, needs = self.open_needs(uid)
-        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
-        self.place_cluster(uid, option, io, needs, cycle)
-
-    def open_needs(self, uid):
-        """I/O tracker and resource demand of opening a cluster at
-        ``uid`` — the probe half of :meth:`_open_cluster`, batched
-        across ants by the lockstep runner."""
         io = SubgraphIOTracker(self.dfg)
         io.add(uid)
-        return io, Needs(reads=io.n_in, writes=io.n_out, fu_kind="asfu")
-
-    def place_cluster(self, uid, option, io, needs, cycle):
-        """Open a singleton cluster at a known first-fit cycle."""
+        needs = Needs(reads=io.n_in, writes=io.n_out, fu_kind="asfu")
+        cycle = self.table.first_fit(needs, not_before=self.data_ready(uid))
         self.stat_cluster_opens += 1
         self.table.place(cycle, needs)
         cluster = Cluster(self._next_cluster, cycle)

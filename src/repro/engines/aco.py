@@ -338,8 +338,10 @@ class AcoEngine(ExplorerEngine):
         folded over the batch, driven by the batch's best schedule
         (iteration-best update — the batched counterpart of the scalar
         per-ant update, with a ``batch``-fold cheaper maintenance
-        cost).  Each ant still counts as one iteration in traces,
-        budgets and observability events.
+        cost).  Only that winner is materialised as a schedule: the
+        round's best is always some batch's winner (the first ant with
+        the batch's lowest key).  Each ant still counts as one
+        iteration in traces, budgets and observability events.
         """
         obs = self.obs
         function, label, restart = tag
@@ -354,43 +356,33 @@ class AcoEngine(ExplorerEngine):
         budget = self.params.max_iterations
         converged = False
         while iterations < budget and not converged:
-            schedules = runner.run(rng, min(batch, budget - iterations))
-            batch_best = None
-            batch_key = None
-            for schedule in schedules:
-                iterations += 1
-                trace.append(schedule.makespan)
-                key = _schedule_key(schedule)
-                if batch_key is None or key < batch_key:
-                    batch_key = key
-                    batch_best = schedule
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_schedule = schedule
+            ants = runner.run(rng, min(batch, budget - iterations))
+            iterations += len(ants)
+            trace.extend(ants.makespans)
+            batch_best = ants.schedule(ants.winner)
+            batch_key = ants.keys[ants.winner]
+            if best_key is None or batch_key < best_key:
+                best_key = batch_key
+                best_schedule = batch_best
             tet_old = update_trails(state, batch_best, prev_order, tet_old)
             prev_order = dict(batch_best.order)
             update_merits(dfg, state, batch_best, self.constraints)
             converged = state.converged()
             if obs:
                 floor = state.convergence_floor()
-                base = iterations - len(schedules)
-                for index, schedule in enumerate(schedules):
+                base = iterations - len(ants)
+                for index in range(len(ants)):
                     obs.event("iteration", function=function, label=label,
                               restart=restart, round=round_index,
                               iteration=base + index,
-                              tet=schedule.makespan,
+                              tet=ants.makespans[index],
                               min_sp=floor,
-                              clusters=len(schedule.clusters))
-                    obs.count("iter.cluster_opens",
-                              schedule.stat_cluster_opens)
-                    obs.count("iter.cluster_joins",
-                              schedule.stat_cluster_joins)
-                    obs.count("iter.join_rejects",
-                              schedule.stat_join_rejects)
-                    obs.count("sched.first_fit_scans",
-                              schedule.table.stat_first_fit_scans)
-                    obs.count("sched.scan_cycles",
-                              schedule.table.stat_scan_cycles)
+                              clusters=ants.n_clusters[index])
+                obs.count("iter.cluster_opens", sum(ants.cluster_opens))
+                obs.count("iter.cluster_joins", sum(ants.cluster_joins))
+                obs.count("iter.join_rejects", sum(ants.join_rejects))
+                obs.count("sched.first_fit_scans", sum(ants.first_fit_scans))
+                obs.count("sched.scan_cycles", sum(ants.scan_cycles))
         proposals = self._collect_proposals(dfg, state, best_schedule)
         if obs:
             obs.count("batch.ants_batched", runner.stat_ants_batched)

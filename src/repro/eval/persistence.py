@@ -9,6 +9,7 @@ exploration runs; the DFG itself is reproducible from the workload
 name.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -25,9 +26,32 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: LRU byte bound over the cache directory (unset/0 = unbounded).
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
-#: Bump when the pickled ``ExploredApplication`` layout changes; stale
-#: schema versions simply miss instead of unpickling garbage.
-_CACHE_SCHEMA = 2
+#: Subpackages whose sources determine an exploration's outcome (and
+#: the pickled ``ExploredApplication`` layout).
+_ALGORITHM_PACKAGES = ("core", "engines", "sched", "graph", "hwlib")
+
+
+@functools.lru_cache(maxsize=1)
+def code_fingerprint():
+    """Digest of the algorithm modules' sources, computed once.
+
+    Mixed into every exploration-cache key, so bundles written by any
+    other version of the algorithm code miss instead of answering for
+    this one — on the local disk and on the remote tier alike.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for package in _ALGORITHM_PACKAGES:
+        for folder, __, files in sorted(os.walk(os.path.join(root, package))):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
 
 #: Remote-tier key prefix for exploration bundles, keeping them apart
 #: from the evalcache's scope-qualified cycle keys in the same server.
@@ -57,8 +81,9 @@ class ExplorationCache:
     Enabled by default; set ``REPRO_CACHE=0`` to disable, or
     ``REPRO_CACHE_DIR`` to relocate from ``./.repro_cache``.  Stale
     entries are invalidated by their key: any change to the parameters
-    (or to ``_CACHE_SCHEMA`` on layout changes) produces a different
-    digest, and corrupt or unreadable files are treated as misses.
+    (or to the algorithm code, see :func:`code_fingerprint`) produces a
+    different digest, and corrupt or unreadable files are treated as
+    misses.
 
     ``REPRO_CACHE_MAX_BYTES`` (or ``max_bytes=``) bounds the cache
     directory: after every store, least-recently-*used* entries (file
@@ -110,10 +135,11 @@ class ExplorationCache:
         """Stable digest of the exploration inputs.
 
         ``fields`` must be JSON-able (params objects can be passed as
-        their ``vars()`` dict); the schema version is mixed in so
-        layout bumps invalidate every old entry at once.
+        their ``vars()`` dict); the :func:`code_fingerprint` is mixed in
+        so any change to the algorithm code invalidates every old entry
+        at once.
         """
-        fields["_schema"] = _CACHE_SCHEMA
+        fields["_code"] = code_fingerprint()
         text = json.dumps(fields, sort_keys=True, default=repr)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 

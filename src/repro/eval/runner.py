@@ -25,6 +25,7 @@ import threading
 
 from ..baselines import greedy_explorer_factory, si_explorer_factory
 from ..config import ExplorationParams, ISEConstraints
+from ..core.batch import resolve_batch
 from ..core.flow import ISEDesignFlow
 from ..dist.client import remote_cache, remote_counters
 from ..errors import ReproError
@@ -119,7 +120,7 @@ class EvalContext:
             workload=workload_name, machine=machine.label,
             opt=opt_level, algorithm=algorithm, profile=self.profile,
             params=vars(self.params), seed=self.seed,
-            max_blocks=self.max_blocks)
+            max_blocks=self.max_blocks, batch=resolve_batch())
 
     def explored(self, workload_name, machine, opt_level, algorithm="MI"):
         """Cached ``(flow, ExploredApplication)`` for one cell.

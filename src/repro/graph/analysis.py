@@ -207,24 +207,6 @@ class SubgraphIOTracker:
         self.commit(delta)
         return delta
 
-    def clone(self):
-        """Independent copy sharing only the (immutable) DFG.
-
-        The batched ant runner opens every singleton cluster from a
-        per-operation template tracker: one :meth:`add` walk at set-up,
-        then a cheap state copy per actual open instead of re-walking
-        the operation's edges for every ant.
-        """
-        other = SubgraphIOTracker.__new__(SubgraphIOTracker)
-        other.dfg = self.dfg
-        other.members = set(self.members)
-        other._in_count = dict(self._in_count)
-        other._out_count = dict(self._out_count)
-        other._escaping = set(self._escaping)
-        other.n_in = self.n_in
-        other.n_out = self.n_out
-        return other
-
 
 def io_counts(dfg, members):
     """``(|IN(S)|, |OUT(S)|)`` port counts of a membership set.

@@ -22,11 +22,15 @@ single vectorized boolean-AND scan over the occupied region when the
 scalar fast path misses.  Infeasible demands (a :class:`Needs` that
 exceeds a machine budget outright) are rejected upfront instead of
 scanning the cycle horizon.
+
+:class:`PackedReservations` keeps the same rows packed into one integer
+word per cycle, for the lockstep ant runner's per-ant schedules, and
+unpacks them back into a table for the schedule it materialises.
 """
 
 import numpy as np
 
-from ..errors import SchedulingError
+from ..errors import ConfigError, SchedulingError
 
 #: Initial column capacity of the dense matrix; grows by doubling.
 _INITIAL_CYCLES = 64
@@ -224,22 +228,45 @@ class ReservationTable:
             return start + index
         return -1
 
-    def _budget_of(self, needs):
-        """(row, demand, budget) triples of a demand, or ``None`` when
-        the demand can never fit this machine."""
+    def capacity(self):
+        """Per-row budgets as an int array, in the matrix's row order."""
+        return np.array([self._issue_width, self._read_ports,
+                         self._write_ports]
+                        + [self._fu_avail[kind] for kind in
+                           sorted(self._fu_row, key=self._fu_row.get)],
+                        dtype=np.int64)
+
+    def demand(self, needs):
+        """``needs`` as a per-row int array (matrix row order), or
+        ``None`` when the demand can never fit this machine."""
         if (needs.issue > self._issue_width
                 or needs.reads > self._read_ports
                 or needs.writes > self._write_ports
                 or needs.fu_count > self._fu_avail.get(needs.fu_kind, 0)):
             return None
-        triples = [(_ISSUE, needs.issue, self._issue_width),
-                   (_READS, needs.reads, self._read_ports),
-                   (_WRITES, needs.writes, self._write_ports)]
+        vector = np.zeros(self._use.shape[0], dtype=np.int64)
+        vector[_ISSUE] = needs.issue
+        vector[_READS] = needs.reads
+        vector[_WRITES] = needs.writes
         row = self._fu_row.get(needs.fu_kind)
         if row is not None:
-            triples.append((row, needs.fu_count,
-                            self._fu_avail[needs.fu_kind]))
-        return triples
+            vector[row] = needs.fu_count
+        return vector
+
+    @classmethod
+    def from_usage(cls, machine, use):
+        """A table whose touched prefix holds the counters ``use``
+        (one row per resource, one column per cycle)."""
+        table = cls(machine)
+        table._load(use)
+        return table
+
+    def _load(self, use):
+        if use.shape[1]:
+            self._grow(use.shape[1])
+            self._use[:, :use.shape[1]] = use
+            self._views = [memoryview(row) for row in self._use]
+            self._hi = use.shape[1]
 
     # -- pickling (memoryviews do not pickle) -------------------------------
 
@@ -253,12 +280,7 @@ class ReservationTable:
 
     def __setstate__(self, state):
         self.__init__(state["machine"])
-        used = state["use"]
-        if used.shape[1]:
-            self._grow(used.shape[1])
-            self._use[:, :used.shape[1]] = used
-            self._views = [memoryview(row) for row in self._use]
-            self._hi = used.shape[1]
+        self._load(state["use"])
         self.stat_first_fit_scans = state["scans"]
         self.stat_scan_cycles = state["scan_cycles"]
 
@@ -279,81 +301,74 @@ class ReservationTable:
         return True
 
 
-#: Probe count below which the scalar fits-at-start loop beats the
-#: stacked-tensor scan (dominated by its per-probe set-up copies).
-#: Benchmarked on the BENCH_sched workloads: the scalar loop wins for
-#: every lockstep width up to the default batch of 16.
-_TENSOR_CUTOVER = 24
+class PackedReservations:
+    """A machine's per-cycle reservations packed into one int per cycle.
 
-
-def first_fit_batch(tables, needs_list, not_befores):
-    """Earliest-fit cycle for one ``(table, needs, not_before)`` probe
-    per entry, resolved in a single vectorised pass.
-
-    The batched ant runner stages the independent first-fit probes of a
-    lockstep step (each ant owns its own table) and scans them all at
-    once: the occupied prefixes are stacked into one ``(K, rows, H)``
-    tensor — columns beyond a table's high-water mark are zero, exactly
-    what an untouched cycle looks like — and feasibility is one
-    boolean reduction.  Per-probe results are identical to calling
-    :meth:`ReservationTable.first_fit` table by table, including the
-    known-empty fast path and the ``hi`` fallback; infeasible demands
-    raise the same :class:`~repro.errors.SchedulingError`.  Small
-    batches skip the stacking and loop the scalar method instead: its
-    fits-at-start fast path beats the tensor set-up cost until well
-    past the default lockstep width (measured cutover above).
+    Row ``r`` of the :class:`ReservationTable` matrix gets a field of
+    ``budget.bit_length() + 1`` bits whose top bit is a guard.  A
+    demand's *probe* code adds ``demand + offset`` to each field, the
+    offset chosen so a field overflows into its guard exactly when
+    usage plus demand exceeds the row's budget; usage and demand each
+    stay within the budget, so no field carries into the next.  Whether
+    a demand fits a cycle is then one add and one AND on that cycle's
+    word, and placing it adds the demand's plain code.  A release is a
+    negative add; a release without a matching place borrows from the
+    field above, which :meth:`unpack` shows as a row over budget.
     """
-    count = len(tables)
-    if count != len(needs_list) or count != len(not_befores):
-        raise SchedulingError("mismatched first_fit_batch arguments")
-    if count <= _TENSOR_CUTOVER:
-        return [table.first_fit(needs, not_before=not_before)
-                for table, needs, not_before
-                in zip(tables, needs_list, not_befores)]
-    budgets = []
-    for table, needs in zip(tables, needs_list):
-        triples = table._budget_of(needs)
-        if triples is None:
-            raise SchedulingError(
-                "no feasible cycle below horizon: {} exceeds the machine "
-                "budget".format(needs))
-        budgets.append(triples)
-    cycles = [0] * count
-    scan = []                     # probes that must look at occupancy
-    for probe, (table, not_before) in enumerate(zip(tables, not_befores)):
-        table.stat_first_fit_scans += 1
-        start = max(0, int(not_before))
-        if start >= table._hi:
-            cycles[probe] = start     # known-empty region
-        else:
-            scan.append(probe)
-    if not scan:
-        return cycles
-    width = max(tables[probe]._hi for probe in scan)
-    rows = tables[scan[0]]._use.shape[0]
-    stack = np.zeros((len(scan), rows, width), dtype=np.int32)
-    demand = np.zeros((len(scan), rows), dtype=np.int32)
-    budget = np.zeros((len(scan), rows), dtype=np.int32)
-    budget[:, :] = np.iinfo(np.int32).max
-    starts = np.empty(len(scan), dtype=np.intp)
-    for index, probe in enumerate(scan):
-        table = tables[probe]
-        hi = table._hi
-        stack[index, :, :hi] = table._use[:, :hi]
-        for row, need, cap in budgets[probe]:
-            demand[index, row] = need
-            budget[index, row] = cap
-        starts[index] = max(0, int(not_befores[probe]))
-        table.stat_scan_cycles += hi - starts[index]
-    feasible = ((stack + demand[:, :, None] <= budget[:, :, None])
-                .all(axis=1))
-    feasible &= np.arange(width)[None, :] >= starts[:, None]
-    first = feasible.argmax(axis=1)
-    found = feasible[np.arange(len(scan)), first]
-    for index, probe in enumerate(scan):
-        # No fit inside the stacked window only happens when this
-        # table's occupancy spans the whole window; the scalar path
-        # then falls through to its known-empty high-water mark.
-        cycles[probe] = int(first[index]) if found[index] \
-            else tables[probe]._hi
-    return cycles
+
+    def __init__(self, machine):
+        self._table = ReservationTable(machine)
+        capacity = self._table.capacity()
+        widths = [int(budget).bit_length() + 1 for budget in capacity]
+        if sum(widths) > 63:
+            raise ConfigError(
+                "machine budgets {} do not pack into one 64-bit word per "
+                "cycle".format(capacity.tolist()))
+        self.capacity = capacity
+        self._budgets = capacity.tolist()
+        self.shifts = [sum(widths[:row]) for row in range(len(widths))]
+        self.masks = [(1 << width) - 1 for width in widths]
+        self.guard = sum(1 << (shift + width - 1)
+                         for shift, width in zip(self.shifts, widths))
+        self._offsets = [(1 << (width - 1)) - 1 - int(budget)
+                         for width, budget in zip(widths, capacity)]
+
+    def codes(self, needs):
+        """``(probe, place)`` codes of a demand, or ``None`` when the
+        demand can never fit the machine."""
+        demand = self._table.demand(needs)
+        if demand is None:
+            return None
+        demand = demand.tolist()
+        place = sum(need << shift
+                    for need, shift in zip(demand, self.shifts))
+        probe = sum((need + offset) << shift for need, offset, shift
+                    in zip(demand, self._offsets, self.shifts))
+        return probe, place
+
+    def first_fit(self, words, hi, probe, ready):
+        """Earliest cycle ``>= ready`` whose word takes ``probe``.
+
+        Every word at or beyond ``hi`` is empty.  Returns the cycle and
+        the cycles :meth:`ReservationTable.first_fit` counts as scanned
+        for the same probe (the rest of the touched prefix after a miss
+        at ``ready``).
+        """
+        guard = self.guard
+        cycle = ready
+        while cycle < hi and (words[cycle] + probe) & guard:
+            cycle += 1
+        return cycle, (hi - ready - 1 if cycle != ready else 0)
+
+    def room(self, word, row):
+        """Budget left in ``row`` of the cycle packed as ``word``."""
+        return self._budgets[row] - ((word >> self.shifts[row])
+                                     & self.masks[row])
+
+    def unpack(self, words):
+        """Packed words back to a ``(rows, cycles)`` usage matrix."""
+        words = np.asarray(words, dtype=np.int64)
+        shifts = np.array(self.shifts, dtype=np.int64)
+        masks = np.array(self.masks, dtype=np.int64)
+        return (words[None, :] >> shifts[:, None]) & masks[:, None]
+

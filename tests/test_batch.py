@@ -12,11 +12,14 @@ here by fixed-seed regression digests at ``batch=4`` and ``batch=16``.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
-from repro.config import ExplorationParams
+from repro.config import ExplorationParams, ISEConstraints
+from repro.core import batch as batch_module
 from repro.engines import aco as aco_engine
 from repro.core.batch import (
+    AntBatch,
     BatchedAntRunner,
     DEFAULT_BATCH,
     effective_batch,
@@ -24,18 +27,24 @@ from repro.core.batch import (
 )
 from repro.core.exploration import MultiIssueExplorer
 from repro.core.flow import ISEDesignFlow
+from repro.core.iteration import IterationSchedule
 from repro.core.merit import update_merits
 from repro.core.state import ExplorationState
 from repro.core.trail import update_trails
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError
+from repro.graph.analysis import SubgraphIOTracker
+from repro.graph.fuzz import random_dfg
 from repro.hwlib import DEFAULT_DATABASE, default_io_table
+from repro.hwlib.options import HardwareOption, IOTable, SoftwareOption
+from repro.hwlib.technology import DEFAULT_TECHNOLOGY
 from repro.ir.passes.pipeline import optimize
 from repro.obs import Observer
 from repro.sched import MachineConfig
-from repro.sched.resources import Needs, ReservationTable, first_fit_batch
-from repro.workloads import get_workload
+from repro.sched.resources import (Needs, PackedReservations,
+                                  ReservationTable)
+from repro.workloads import all_workloads, extra_workloads, get_workload
 
-from conftest import diamond_dfg
+from conftest import dfg_from_block, diamond_dfg
 
 
 def _hot_dfgs(workload_name, max_blocks=2):
@@ -139,7 +148,7 @@ class TestWidthOneParity:
         prev_a, prev_b = {}, {}
         for __ in range(3):
             scalar = explorer._run_iteration(dfg, state_a, rng_a)
-            batched = runner.run(rng_b, 1)[0]
+            batched = runner.run(rng_b, 1).schedule(0)
             assert (_schedule_signature(scalar)
                     == _schedule_signature(batched))
             tet_a = update_trails(state_a, scalar, prev_a, tet_a)
@@ -158,6 +167,237 @@ class TestWidthOneParity:
                                     seed=11, batch=1)
         digest = _result_digest(scalar.explore_many(dfgs, jobs=1))
         assert digest == _FIXED_SEED_DIGESTS["scalar"]
+
+    # -- every ant of a batch equals its scalar replay ---------------------
+
+    @pytest.mark.parametrize("width", [2, 5, 16])
+    @pytest.mark.parametrize("source", [
+        *("workload:" + workload.name
+          for workload in all_workloads() + extra_workloads()),
+        *("fuzz:{}".format(seed) for seed in range(4))])
+    def test_each_ant_matches_scalar_replay(self, source, width,
+                                            monkeypatch):
+        """Each ant's starts, options, draw order, clusters (members in
+        join order, ports, ceiling), reservations, makespan, preference
+        key and tallies equal an IterationSchedule replaying that ant's
+        draws — across trained states, tight §4.2 constraints and a
+        single-cycle pipestage limit."""
+        kind, name = source.split(":")
+        dfg = (_hot_dfgs(name, max_blocks=1)[0] if kind == "workload"
+               else random_dfg(int(name), n_nodes=40))
+        successor_joins = _count_successor_joins(monkeypatch)
+        for constraints in (ISEConstraints(),
+                            ISEConstraints(n_in=2, n_out=1,
+                                           max_ise_cycles=1)):
+            runner, state = _runner_for(dfg, constraints)
+            rng = random.Random(width)
+            tet = None
+            prev = {}
+            for __ in range(3):
+                ants = runner.run(rng, width)
+                for ant in range(width):
+                    _assert_matches_replay(ants, ant)
+                winner = ants.schedule(ants.winner)
+                tet = update_trails(state, winner, prev, tet)
+                prev = dict(winner.order)
+                update_merits(dfg, state, winner, constraints)
+        # Topological draws make every join a sink addition: the
+        # scalar rebuild path for a member consuming the newcomer
+        # (``succ_members``) is unreachable.
+        assert successor_joins == []
+
+
+def _runner_for(dfg, constraints, tables=None, machine=None):
+    if tables is None:
+        tables = {uid: default_io_table(dfg.op(uid), DEFAULT_DATABASE)
+                  for uid in dfg.nodes}
+    params = ExplorationParams()
+    state = ExplorationState(dfg, tables, params, priority="children")
+    runner = BatchedAntRunner(dfg, state, machine or MachineConfig(2, "4/2"),
+                              DEFAULT_TECHNOLOGY, constraints)
+    return runner, state
+
+
+def _replay(runner, schedule):
+    """An IterationSchedule replaying ``schedule``'s draws."""
+    scalar = IterationSchedule(runner.dfg, runner.machine,
+                               runner.technology, runner.constraints)
+    for uid in sorted(schedule.order, key=schedule.order.get):
+        option = schedule.chosen[uid]
+        if option.is_hardware:
+            scalar.schedule_hardware(uid, option)
+        else:
+            scalar.schedule_software(uid, option)
+    return scalar.verify()
+
+
+def _full_signature(schedule):
+    table = schedule.table
+    return (
+        _schedule_signature(schedule),
+        aco_engine._schedule_key(schedule),
+        [(list(c.option_of), c.start, c.cycles, c.delay_ns,
+          c.needs.reads, c.needs.writes, c.min_ext_start)
+         for c in schedule.clusters],
+        table._use[:, :table._hi].tolist(),
+        (schedule.stat_cluster_opens, schedule.stat_cluster_joins,
+         schedule.stat_join_rejects, table.stat_first_fit_scans,
+         table.stat_scan_cycles),
+    )
+
+
+def _assert_matches_replay(ants, ant):
+    schedule = ants.schedule(ant)
+    scalar = _replay(ants.runner, schedule)
+    assert _full_signature(schedule) == _full_signature(scalar)
+    assert ants.keys[ant] == aco_engine._schedule_key(scalar)
+    assert ants.makespans[ant] == scalar.makespan
+    assert ants.n_clusters[ant] == len(scalar.clusters)
+    return schedule
+
+
+def _count_successor_joins(monkeypatch):
+    """Record every scalar join preview whose newcomer already feeds a
+    member (the ``succ_members`` rebuild path of ``_try_join``)."""
+    seen = []
+    original = SubgraphIOTracker.preview_add
+
+    def preview(self, uid, n_in_limit=None):
+        delta = original(self, uid, n_in_limit=n_in_limit)
+        if delta is not None and delta.succ_members:
+            seen.append(uid)
+        return delta
+
+    monkeypatch.setattr(SubgraphIOTracker, "preview_add", preview)
+    return seen
+
+
+# -- forced join cases: one reject reason each -------------------------------
+
+def _forced(build_body, seq, tables, constraints=None, machine=None):
+    """Place the draw sequence ``seq`` — ``(node position, "SW"|"HW")``
+    per step, positions in the block's operation order — on one ant,
+    check it against the scalar replay and return its schedule."""
+    dfg = dfg_from_block(build_body)
+    uids = sorted(dfg.nodes)
+    tables = {uid: tables[position] for position, uid in enumerate(uids)}
+    runner, __ = _runner_for(dfg, constraints or ISEConstraints(), tables,
+                             machine)
+    slot_of = {(uid, option.label): slot
+               for slot, (uid, option) in enumerate(runner._slot_pairs)}
+    ants = AntBatch(runner, 1)
+    for position, label in seq:
+        ants.place([slot_of[(uids[position], label)]])
+    ants.finish()
+    schedule = _assert_matches_replay(ants, 0)
+    groups = sorted(sorted(uids.index(uid) for uid in c.members)
+                    for c in schedule.clusters)
+    return schedule, groups
+
+
+def _ops(*cycles_delays):
+    """IO tables: one (software cycles, hardware delay ns) per op."""
+    return [IOTable(software=[SoftwareOption("SW", cycles=cycles)],
+                    hardware=[HardwareOption("HW", delay, 100.0)])
+            for cycles, delay in cycles_delays]
+
+
+class TestForcedJoins:
+    def test_parent_not_finished(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            t1 = b.addu("c", "d")
+            return b.addu(t0, t1)
+
+        # Wide register ports: the software parent, three cycles long,
+        # is the only reason the join fails.
+        schedule, groups = _forced(
+            body, [(0, "HW"), (1, "SW"), (2, "HW")],
+            _ops((1, 2.0), (3, 2.0), (1, 2.0)),
+            machine=MachineConfig(2, "8/4"))
+        assert schedule.stat_join_rejects == 1
+        assert groups == [[0], [2]]
+
+    def test_in_ports(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            return b.addu(t0, "c")
+
+        schedule, groups = _forced(
+            body, [(0, "HW"), (1, "HW")], _ops((1, 2.0), (1, 2.0)),
+            ISEConstraints(n_in=2))
+        assert schedule.stat_join_rejects == 1 and groups == [[0], [1]]
+
+    def test_out_ports(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            t1 = b.addu(t0, "a")
+            t2 = b.xor(t0, "c")
+            return b.or_(t1, t2)
+
+        schedule, groups = _forced(
+            body, [(0, "HW"), (1, "HW"), (2, "SW"), (3, "SW")],
+            _ops((1, 2.0), (1, 2.0), (1, 2.0), (1, 2.0)),
+            ISEConstraints(n_out=1))
+        assert schedule.stat_join_rejects == 1 and groups == [[0], [1]]
+
+    def test_cycle_budget(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            return b.addu(t0, "c")
+
+        schedule, groups = _forced(
+            body, [(0, "HW"), (1, "HW")], _ops((1, 6.0), (1, 6.0)),
+            ISEConstraints(max_ise_cycles=1))
+        assert schedule.stat_join_rejects == 1 and groups == [[0], [1]]
+
+    def test_external_consumer_ceiling(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            t1 = b.xor(t0, "c")
+            t2 = b.addu(t0, "d")
+            return b.or_(t1, t2)
+
+        schedule, groups = _forced(
+            body, [(0, "HW"), (1, "SW"), (2, "HW"), (3, "SW")],
+            _ops((1, 6.0), (1, 2.0), (1, 6.0), (1, 2.0)))
+        assert schedule.clusters[0].min_ext_start == 1
+        assert schedule.stat_join_rejects == 1 and groups == [[0], [2]]
+
+    def test_no_register_room_at_cluster_start(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            t1 = b.xor("c", "d")
+            t2 = b.addu(t0, "e")
+            return b.or_(t1, t2)
+
+        schedule, groups = _forced(
+            body, [(0, "HW"), (1, "SW"), (2, "HW"), (3, "SW")],
+            _ops((1, 2.0), (1, 2.0), (1, 2.0), (1, 2.0)))
+        assert schedule.start[sorted(schedule.start)[1]] == 0
+        assert schedule.stat_join_rejects == 1 and groups == [[0], [2]]
+
+    def test_two_parent_clusters_latest_start_first(self):
+        def body(b):
+            t0 = b.addu("a", "b")
+            t1 = b.xor("c", "d")
+            t2 = b.addu(t1, "a")
+            return b.addu(t0, t2)
+
+        seq = [(0, "HW"), (1, "SW"), (2, "HW"), (3, "HW")]
+        schedule, groups = _forced(seq=seq, build_body=body, tables=_ops(
+            (1, 2.0), (1, 2.0), (1, 2.0), (1, 2.0)))
+        # The later cluster (opened at cycle 1) is tried first and
+        # takes the join; the earlier one is never tried.
+        assert schedule.stat_join_rejects == 0
+        assert groups == [[0], [2, 3]]
+        # Barred from the later cluster, the join falls back to the
+        # earlier one, whose start precedes the later parent's finish.
+        schedule, groups = _forced(
+            body, seq, _ops((1, 2.0), (1, 2.0), (1, 6.0), (1, 6.0)),
+            ISEConstraints(max_ise_cycles=1))
+        assert schedule.stat_join_rejects == 2
+        assert groups == [[0], [2], [3]]
 
 
 # -- fixed-seed regression: the batched RNG lineage is pinned ----------------
@@ -197,6 +437,47 @@ class TestBatchedGoldenRegression:
         assert digest_at(1) == digest_at(2)
 
 
+# -- the batched roulette draws what the scalar roulette draws -------------
+
+class _Draw:
+    """An rng stand-in whose next draw is fixed."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestRouletteRows:
+    def test_matches_scalar_roulette(self):
+        """Row by row, the batched pick equals the scalar roulette over
+        that row's ready slots — including zero draws, zero totals and
+        unready leading slots."""
+        rng = random.Random(5)
+        for __ in range(300):
+            n_slots = rng.randrange(1, 9)
+            weights = np.array([rng.choice([0.5, 1.0, rng.random()])
+                                for __ in range(n_slots)])
+            rows = []
+            for __ in range(6):
+                ready = [rng.random() < 0.6 for __ in range(n_slots)]
+                if not any(ready):
+                    ready[rng.randrange(n_slots)] = True
+                rows.append(ready)
+            slot_ready = np.array(rows)
+            draws = np.array([rng.choice([0.0, rng.random(), 0.999999])
+                              for __ in rows])
+            row_weights = np.where(rng.random() < 0.2, 0.0, weights)
+            picked = batch_module._roulette_rows(row_weights, slot_ready,
+                                                 draws)
+            for row, ready in enumerate(rows):
+                entries = [(slot, row_weights[slot])
+                           for slot in range(n_slots) if ready[slot]]
+                assert picked[row] == aco_engine._roulette(
+                    entries, _Draw(draws[row]))
+
+
 # -- satellite: the scalar ready list stays sorted ---------------------------
 
 class TestReadyListStaysSorted:
@@ -229,7 +510,7 @@ class TestReadyListStaysSorted:
         assert checked["count"] > 0
 
 
-# -- batched first-fit probes match the scalar scan --------------------------
+# -- packed first-fit probes match the scalar scan --------------------------
 
 class TestFirstFitBatch:
     def _random_table(self, rng, machine):
@@ -244,27 +525,35 @@ class TestFirstFitBatch:
 
     @pytest.mark.parametrize("count", [3, 40])
     def test_matches_scalar_first_fit(self, count):
-        """Both dispatch regimes (scalar below the tensor cutover, the
-        stacked tensor scan above it) agree with per-table first_fit."""
+        """Packed reservation words answer every probe — cycle and
+        scanned-cycle tally — exactly as ReservationTable.first_fit."""
         rng = random.Random(count)
         machine = MachineConfig(2, "4/2")
-        tables, needs_list, not_befores = [], [], []
+        packing = PackedReservations(machine)
         for __ in range(count):
-            tables.append(self._random_table(rng, machine))
-            needs_list.append(Needs(reads=rng.randrange(4),
-                                    writes=rng.randrange(3),
-                                    fu_kind=rng.choice(["alu", "asfu"])))
-            not_befores.append(rng.randrange(6))
-        expected = [table.first_fit(needs, not_before=not_before)
-                    for table, needs, not_before
-                    in zip(tables, needs_list, not_befores)]
-        assert first_fit_batch(tables, needs_list, not_befores) == expected
+            table = self._random_table(rng, machine)
+            hi = table._hi
+            words = [sum(int(table._use[row, cycle]) << shift
+                         for row, shift in enumerate(packing.shifts))
+                     for cycle in range(hi)]
+            assert (packing.unpack(words)
+                    == table._use[:, :hi]).all()
+            needs = Needs(reads=rng.randrange(4), writes=rng.randrange(3),
+                          fu_kind=rng.choice(["alu", "asfu"]))
+            ready = rng.randrange(6)
+            scanned = table.stat_scan_cycles
+            expected = table.first_fit(needs, not_before=ready)
+            scanned = table.stat_scan_cycles - scanned
+            probe, __ = packing.codes(needs)
+            assert packing.first_fit(words, hi, probe, ready) == (
+                expected, scanned)
 
-    def test_rejects_mismatched_lengths(self):
-        machine = MachineConfig(2, "4/2")
-        table = ReservationTable(machine)
-        with pytest.raises(SchedulingError):
-            first_fit_batch([table], [Needs()], [0, 1])
+    def test_infeasible_and_unpackable_budgets(self):
+        packing = PackedReservations(MachineConfig(2, "4/2"))
+        assert packing.codes(Needs(reads=9)) is None
+        assert packing.codes(Needs(fu_kind="fpu")) is None
+        with pytest.raises(ConfigError):
+            PackedReservations(MachineConfig(1 << 30, "4/2"))
 
 
 # -- observability ----------------------------------------------------------
@@ -282,7 +571,9 @@ class TestBatchCounters:
         counters = obs.metrics.snapshot()["counters"]
         assert counters["batch.ants_batched"] > 0
         assert counters["batch.rows_vectorized"] > 0
-        assert "batch.scalar_fallbacks" in counters
+        # Every placement resolves on the batch's own state: none falls
+        # back to an IterationSchedule.
+        assert counters.get("batch.scalar_fallbacks", 0) == 0
         assert obs.metrics.snapshot()["gauges"]["batch.effective"] \
             == DEFAULT_BATCH
 
@@ -299,12 +590,11 @@ class TestBatchCounters:
         assert "batch.ants_batched" not in counters
 
 
-# -- template-open path: clone instead of edge re-walk -----------------------
+# -- open demand: walked once per operation, never during a run -------------
 
 class TestTemplateOpenNoRewalk:
-    """The per-operation tracker templates are walked once at runner
-    construction; every actual cluster open clones that state instead
-    of re-walking the operation's edges."""
+    """Each operation's singleton-cluster demand is walked once at
+    runner construction; opens during a run re-walk no edges."""
 
     def _counted_tracker(self, monkeypatch):
         from repro.graph.analysis import SubgraphIOTracker
@@ -338,26 +628,28 @@ class TestTemplateOpenNoRewalk:
         # Exactly one preview walk per operation — the template build.
         assert sorted(calls) == sorted(dfg.nodes)
 
-    def test_opens_are_clone_only(self, monkeypatch):
+    def test_open_demand_matches_tracker(self):
+        """Each hardware slot's precomputed open demand is the singleton
+        cluster's IN/OUT ports, as a fresh tracker counts them."""
+        from repro.graph.analysis import SubgraphIOTracker
         dfg = _hot_dfgs("crc32", max_blocks=1)[0]
         runner = self._runner(dfg)
-        calls = self._counted_tracker(monkeypatch)
-        opened = []
-        for uid, (template, needs) in runner._open_template.items():
-            io = template.clone()
-            opened.append(io)
-            assert io.members == {uid}
+        opened = 0
+        for (uid, option), slot in zip(runner._slot_pairs, runner._slots):
+            if not option.is_hardware:
+                continue
+            io = SubgraphIOTracker(dfg)
+            io.add(uid)
+            needs = slot[4]
             assert (needs.reads, needs.writes) == (io.n_in, io.n_out)
-        # Zero edge re-walks across every open; clones stay independent.
-        assert calls == []
-        opened[0].members.add(-1)
-        assert -1 not in runner._open_template[
-            sorted(runner._open_template)[0]][0].members
+            opened += 1
+        assert opened
 
     def test_batched_run_walks_only_on_scalar_fallbacks(self, monkeypatch):
         """A full lockstep batch constructs fresh trackers (the
-        edge-walking kind) only on the scalar-fallback path; every
-        other cluster open is a template clone."""
+        edge-walking kind) only on the scalar-fallback path — which no
+        placement takes — so every open reuses the demand walked at
+        construction."""
         from repro.graph.analysis import SubgraphIOTracker
         dfg = _hot_dfgs("crc32", max_blocks=1)[0]
         runner = self._runner(dfg)
@@ -369,35 +661,9 @@ class TestTemplateOpenNoRewalk:
             original(self, dfg)
 
         monkeypatch.setattr(SubgraphIOTracker, "__init__", counted)
-        schedules = runner.run(random.Random(11), DEFAULT_BATCH)
-        opened = sum(len(schedule.clusters) for schedule in schedules)
+        opened = sum(runner.run(random.Random(11), DEFAULT_BATCH).n_clusters)
         assert opened > 0
         # Fresh walks are bounded by the fallbacks; the (many more)
-        # remaining opens all went through clone().
+        # opens all reused the construction-time demand.
         assert len(built) <= runner.stat_scalar_fallbacks
         assert opened > len(built)
-
-    def test_clone_beats_rewalk_microbench(self):
-        """Micro-benchmark backing: cloning the template is no slower
-        than re-walking the operation's edges (min-of-many, generous
-        2x guard against host noise)."""
-        import time
-        from repro.graph.analysis import SubgraphIOTracker
-        from repro.graph.fuzz import random_dfg
-        dfg = random_dfg(13, n_nodes=96)
-        seed_uid = max(dfg.nodes,
-                       key=lambda u: len(dfg.neighbours(u)))
-        template = SubgraphIOTracker(dfg)
-        template.add(seed_uid)
-
-        def best_of(fn, reps=2000):
-            best = float("inf")
-            for __ in range(reps):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        walk = best_of(lambda: SubgraphIOTracker(dfg).add(seed_uid))
-        clone = best_of(template.clone)
-        assert clone <= walk * 2.0

@@ -10,6 +10,8 @@ written again for a result that was served from a nearer one — across
 two full :class:`EvalContext` lifetimes sharing one cache directory.
 """
 
+from repro.core.batch import BATCH_ENV
+from repro.eval import persistence
 from repro.eval.persistence import CACHE_DIR_ENV, CACHE_ENV
 from repro.eval.runner import EvalContext
 from repro.sched.machine import MachineConfig
@@ -55,3 +57,49 @@ def test_store_once_hit_from_nearest_tier(tmp_path, monkeypatch):
         assert len(explored_disk.candidates) == len(explored_cold.candidates)
 
     assert sorted(tmp_path.glob("*.pkl")) == stored    # still one file
+
+
+def test_disk_key_covers_batch_and_code(tmp_path, monkeypatch):
+    """Bundles answer only for the batch size and the algorithm code
+    that produced them: changing either is a miss, an identical re-run
+    hits."""
+    monkeypatch.setenv(CACHE_ENV, "1")
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.delenv(BATCH_ENV, raising=False)
+    cell = ("crc32", MachineConfig(2, "4/2"), "O3", "MI")
+    with EvalContext(profile="quick", seed=7,
+                     workload_names=["crc32"]) as context:
+        key = context._disk_key(*cell)
+        context.disk_cache.store(key, {"bundle": 1})
+        assert context._disk_key(*cell) == key
+        assert context.disk_cache.load(context._disk_key(*cell)) == {
+            "bundle": 1}
+        monkeypatch.setenv(BATCH_ENV, "1")
+        assert context.disk_cache.load(context._disk_key(*cell)) is None
+        monkeypatch.delenv(BATCH_ENV)
+        other = persistence.code_fingerprint()[::-1]
+        monkeypatch.setattr(persistence, "code_fingerprint", lambda: other)
+        assert context.disk_cache.load(context._disk_key(*cell)) is None
+
+
+def test_code_fingerprint_tracks_algorithm_sources(tmp_path, monkeypatch):
+    """The fingerprint digests the algorithm modules' sources."""
+    root = tmp_path / "repro"
+    for package in persistence._ALGORITHM_PACKAGES:
+        (root / package).mkdir(parents=True)
+        (root / package / "module.py").write_text("VALUE = 1\n")
+    (root / "eval").mkdir()
+    monkeypatch.setattr(persistence, "__file__",
+                        str(root / "eval" / "persistence.py"))
+
+    def fingerprint():
+        persistence.code_fingerprint.cache_clear()
+        return persistence.code_fingerprint()
+
+    try:
+        first = fingerprint()
+        assert fingerprint() == first
+        (root / "core" / "module.py").write_text("VALUE = 2\n")
+        assert fingerprint() != first
+    finally:
+        persistence.code_fingerprint.cache_clear()
