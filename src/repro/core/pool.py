@@ -88,9 +88,15 @@ def shared_key_bytes(scope, key):
     needs a scope — one instance serves one (machine, technology) pair.
     The shared tier outlives explorers and spans the whole evaluation
     grid, so the machine/technology identity must be part of the key or
-    a 2-issue cycle count could answer a 4-issue probe.
+    a 2-issue cycle count could answer a 4-issue probe.  The remote
+    tier also outlives client upgrades, so the algorithm-code
+    fingerprint is part of the key too: a row written by another
+    version of ``sched/`` misses instead of answering for this one.
     """
-    return "{}|{!r}".format(scope, key).encode("utf-8", "backslashreplace")
+    from ..eval.persistence import code_fingerprint
+
+    return "{}|{}|{!r}".format(scope, code_fingerprint(), key).encode(
+        "utf-8", "backslashreplace")
 
 
 class SharedEvalCache:

@@ -11,17 +11,24 @@ instance type by its *maximum* per-ISE multiplicity rather than the
 sum.
 """
 
+import math
 from collections import Counter
 
 
 def shared_area(merged_ises, enable_sharing=True):
-    """Total silicon area of a set of ISEs with hardware sharing."""
+    """Total silicon area of a set of ISEs with hardware sharing.
+
+    The sum is exactly rounded (:func:`math.fsum`), so it does not
+    depend on the order a candidate's ``members`` frozenset iterates
+    in — which can differ once a candidate is pickled back from a pool
+    worker — and a budget check never flips on the last bit.
+    """
     if not enable_sharing:
-        return sum(entry.area for entry in merged_ises)
+        return math.fsum(entry.area for entry in merged_ises)
     peak = Counter()
     for entry in merged_ises:
         peak |= _instance_counts(entry.representative)   # element-wise max
-    return sum(area * count for (__, area), count in peak.items())
+    return math.fsum(area * count for (__, area), count in peak.items())
 
 
 def _instance_counts(candidate):

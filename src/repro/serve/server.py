@@ -6,7 +6,8 @@ worker lanes (:mod:`repro.serve.session`).  The event loop never
 explores: every execution request becomes a :class:`WorkItem` whose
 completion is marshalled back via ``loop.call_soon_threadsafe``, so the
 loop stays responsive for status probes, cancels and new connections
-while explorations grind on lane threads and the shared worker pool.
+while explorations grind on the shared worker pool, which the server
+forks once at start (lanes keep only preparation and selection).
 
 Connection discipline mirrors :class:`repro.dist.server.EvalCacheServer`
 — one read loop per connection, length-prefix validation first — with
@@ -32,10 +33,17 @@ import asyncio
 import itertools
 import threading
 
+from ..core.parallel import resolve_jobs
+from ..core.pool import get_pool, pool_persist_enabled, shutdown_pools
 from ..dist import protocol
 from . import schema
 from .schema import RequestError
-from .session import DEFAULT_MEMO_ENTRIES, ScopeRegistry, WorkItem
+from .session import (
+    DEFAULT_MEMO_ENTRIES,
+    ScopeRegistry,
+    WorkItem,
+    served_jobs,
+)
 
 #: Default TCP port (overridden by ``--port`` / the client address).
 DEFAULT_PORT = 7208
@@ -426,8 +434,23 @@ class ExploreServer:
         async with self._server:
             await self._server.serve_forever()
 
+    @staticmethod
+    def _fork_pool():
+        """Fork the shared worker pool before any lane or loop thread.
+
+        Served requests that leave ``jobs`` unset explore on this pool
+        (:func:`~repro.serve.session.served_jobs`).  Forking it up
+        front means the server never forks from a multi-threaded
+        process, except lazily to replace a pool whose worker died.  A
+        single-CPU host resolves to one job and forks nothing.
+        """
+        jobs = resolve_jobs(served_jobs(None))
+        if jobs > 1 and pool_persist_enabled():
+            get_pool(jobs)
+
     def run_blocking(self, announce=True):
         """Bind, announce and serve on the calling thread (CLI path)."""
+        self._fork_pool()
         try:
             asyncio.run(self.serve_forever(announce=announce))
         except KeyboardInterrupt:
@@ -444,6 +467,7 @@ class ExploreServer:
         """Run the server on a daemon thread; returns the bound port."""
         if self._thread is not None:
             return self.port
+        self._fork_pool()
 
         def run():
             loop = asyncio.new_event_loop()
@@ -489,8 +513,6 @@ class ExploreServer:
                 pass               # loop already closed
             thread.join(timeout=10.0)
         self.registry.close()
-        from ..core.pool import shutdown_pools
-
         shutdown_pools()
 
 

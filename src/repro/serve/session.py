@@ -15,7 +15,11 @@ lane drains its queue in batches:
    :func:`~repro.serve.schema.compat_key`; each group's hot blocks are
    fanned out in **one** ``explore_many`` dispatch over the shared
    worker pool, exactly as :meth:`ISEDesignFlow._explore_hot_blocks`
-   would for a single application.  Per-block RNG streams derive only
+   would for a single application.  A request that leaves ``jobs``
+   unset runs on the server's pool at one worker per CPU
+   (:func:`served_jobs`), so the CPU-bound ACO never holds the server's
+   interpreter lock; only an explicit ``jobs=1`` explores in-process.
+   Per-block RNG streams derive only
    from ``(seed, restart, function, label)`` and the evalcache memoises
    exactly what recomputation would produce, so the batched dispatch is
    bit-identical to running each request one-shot;
@@ -24,7 +28,8 @@ lane drains its queue in batches:
    (the server bridges these onto its event loop).
 
 Sweeps span machines, so they run unbatched on a dedicated ``sweep``
-lane, delegating to :func:`repro.api.sweep` wholesale.
+lane, delegating to :func:`repro.api.sweep` wholesale, under the same
+``jobs`` rule.
 """
 
 import queue
@@ -44,6 +49,16 @@ from . import schema
 DEFAULT_MEMO_ENTRIES = 64
 
 _STOP = object()
+
+
+def served_jobs(jobs):
+    """The worker count of a served request's exploration.
+
+    An unset ``jobs`` means the server's pool: one worker per CPU
+    (``"auto"``; 1 on a single-CPU host, which explores in-process).
+    An explicit value wins.
+    """
+    return "auto" if jobs is None else jobs
 
 
 class WorkItem:
@@ -234,7 +249,7 @@ class ScopeLane:
                              program, blocks, hot))
         flow0 = prepared[0][4]
         explorer = flow0._explorer_factory(flow0)
-        jobs = resolve_jobs(flow0.jobs, obs=group_obs)
+        jobs = resolve_jobs(served_jobs(flow0.jobs), obs=group_obs)
         all_hot = [b for entry in prepared for b in entry[7]]
         results = ISEDesignFlow._explore_hot_blocks(explorer, all_hot, jobs)
         position = 0
@@ -324,9 +339,9 @@ class ScopeLane:
             req["workloads"], machines=req["machines"],
             budgets=req["budgets"], opt=req["opt"],
             profile=req["profile"], seed=req["seed"],
-            engine=req["engine"], jobs=req["jobs"], batch=req["batch"],
-            iterations=req["iterations"], restarts=req["restarts"],
-            shard=req["shard"], observer=observer)
+            engine=req["engine"], jobs=served_jobs(req["jobs"]),
+            batch=req["batch"], iterations=req["iterations"],
+            restarts=req["restarts"], shard=req["shard"], observer=observer)
         item.deliver(result.to_payload())
 
 

@@ -1,5 +1,7 @@
 """Tests for ISE merging, greedy selection and hardware sharing."""
 
+import copy
+
 import pytest
 
 from repro.config import ISEConstraints
@@ -7,6 +9,7 @@ from repro.core.candidate import ISECandidate
 from repro.core.merging import merge_candidates
 from repro.core.selection import select_ises, shared_area
 from repro.hwlib import DEFAULT_DATABASE, DEFAULT_TECHNOLOGY
+from repro.hwlib.options import HardwareOption
 
 from conftest import chain_dfg, dfg_from_block
 
@@ -126,6 +129,24 @@ class TestSharedArea:
         shared = shared_area(merged)
         assert shared == pytest.approx(c1.area + c2.area)
 
+    def test_sum_ignores_member_iteration_order(self):
+        """A candidate pickled back from a pool worker may walk its
+        members in another order; the area must not move by a bit."""
+        dfg = repeated_pattern_dfg()
+        areas = {"addu": 0.1, "xor": 0.2, "or": 0.3}
+        members = (2, 3, 4)                      # addu -> xor -> or
+        option_of = {uid: HardwareOption("HW-t", 1.0,
+                                         areas[dfg.op(uid).name])
+                     for uid in members}
+        forward = ISECandidate(dfg, members, option_of, DEFAULT_TECHNOLOGY)
+        backward = copy.copy(forward)
+        forward.members = members
+        backward.members = members[::-1]
+        assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1  # order matters
+        walks = [shared_area(merge_candidates([c], single_asfu=True))
+                 for c in (forward, backward)]
+        assert walks == [0.6, 0.6]
+
 
 class TestSelection:
     def _three_candidates(self):
@@ -164,3 +185,19 @@ class TestSelection:
         result = select_ises(merged, ISEConstraints(max_area=0))
         assert result.count == 0
         assert result.area == 0
+
+
+def test_selection_area_is_identical_serial_and_pooled(monkeypatch):
+    """Regression: candidates explored on the pool used to sum their
+    shared area in another order than serial ones (crc32, 2-issue 4/2,
+    seed 566926602, 160000 um2: 12302.83 vs 12302.829999999998)."""
+    from repro import api
+    from repro.core import parallel
+
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 2)
+    areas = []
+    for jobs in (1, 2):
+        explored = api.explore("crc32", issue=2, ports="4/2",
+                               seed=566926602, jobs=jobs)
+        areas.append(api.evaluate(explored, max_area=160_000.0).area)
+    assert areas[0] == areas[1] == 12302.83

@@ -219,6 +219,30 @@ def test_cross_scope_isolation(client):
     assert client.get_cycles(shared_key_bytes("4is|8/4", key)) is None
 
 
+def test_code_version_isolation(client, monkeypatch):
+    """Shared-tier rows answer only for the algorithm code that wrote
+    them: the remote server outlives client upgrades, so a changed
+    code fingerprint misses in both the remote and the shm tier."""
+    from repro.eval import persistence
+
+    key = ("fingerprint", (), 100)
+    written = shared_key_bytes("2is|4/2", key)
+    client.put_cycles(written, 42)
+    client.flush()
+    shared = SharedEvalCache(slots=256)
+    try:
+        shared.insert(written, 42)
+        other = persistence.code_fingerprint()[::-1]
+        monkeypatch.setattr(persistence, "code_fingerprint", lambda: other)
+        upgraded = shared_key_bytes("2is|4/2", key)
+        assert upgraded != written
+        assert client.get_cycles(upgraded) is None
+        assert shared.lookup(upgraded) is None
+        assert shared.lookup(written) == 42
+    finally:
+        shared.close()
+
+
 # -- fault paths ------------------------------------------------------------
 
 def _free_port():

@@ -19,6 +19,12 @@ import time
 import pytest
 
 from repro import api
+from repro.core.pool import (
+    active_pool,
+    add_dispatch_hook,
+    pool_persist_enabled,
+    remove_dispatch_hook,
+)
 from repro.dist import protocol
 from repro.serve import schema
 from repro.serve.client import ServiceClient, ServiceError
@@ -35,6 +41,33 @@ def server():
     srv.start_in_thread()
     yield srv
     srv.stop()
+
+
+@pytest.fixture
+def pool_server(monkeypatch):
+    """A server whose unset-``jobs`` requests use a two-worker pool,
+    even on a single-CPU host (``auto`` resolves to 2)."""
+    from repro.core import parallel
+
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 2)
+    srv = ExploreServer(port=0)
+    srv.start_in_thread()
+    yield srv
+    srv.stop()
+
+
+@pytest.fixture
+def dispatches():
+    """Every pooled dispatch's ``info`` dict while the test runs."""
+    seen = []
+
+    def hook(phase, info):
+        if phase == "start":
+            seen.append(info)
+
+    add_dispatch_hook(hook)
+    yield seen
+    remove_dispatch_hook(hook)
 
 
 @pytest.fixture
@@ -423,3 +456,61 @@ def test_api_serve_helper_round_trip():
             assert c.status()["max_inflight"] == 4
     finally:
         server.stop()
+
+
+# -- where served work runs --------------------------------------------------
+
+#: The serve-mixed benchmark's programs, machines and area budgets.
+PARITY_PROGRAMS = ("crc32", "adpcm", "dijkstra")
+PARITY_MACHINES = ((2, "4/2"), (4, "8/4"))
+PARITY_BUDGETS = (10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0,
+                  320_000.0)
+
+
+def test_server_forks_its_pool_at_start(pool_server):
+    if not pool_persist_enabled():
+        pytest.skip("persistent pool disabled (REPRO_POOL_PERSIST=0)")
+    pool = active_pool()
+    assert pool is not None and pool.workers == 2
+    pids = pool.worker_pids()
+    with ServiceClient(pool_server.address, timeout=120.0) as c:
+        c.explore("crc32", seed=93, **FAST)
+    assert active_pool() is pool and pool.worker_pids() == pids
+
+
+def test_default_served_explore_runs_on_the_pool(pool_server, dispatches):
+    with ServiceClient(pool_server.address, timeout=120.0) as c:
+        c.explore("crc32", seed=91, **FAST)
+    assert dispatches and all(info["jobs"] == 2 for info in dispatches)
+    assert sum(info["tasks"] for info in dispatches) > 0
+
+
+def test_explicit_jobs_one_explores_in_process(pool_server, dispatches):
+    with ServiceClient(pool_server.address, timeout=120.0) as c:
+        c.explore("crc32", seed=92, jobs=1, **FAST)
+        c.evaluate("crc32", seed=92, jobs=1, max_area=80_000.0, **FAST)
+    assert dispatches == []
+
+
+def test_default_served_answers_match_serial_one_shot(pool_server,
+                                                       dispatches):
+    """Pool-explored served answers equal ``api.explore(jobs=1)`` +
+    ``api.evaluate`` digest for digest, at every serve-mixed budget."""
+    seed = 566926602
+    with ServiceClient(pool_server.address, timeout=300.0) as c:
+        for workload in PARITY_PROGRAMS:
+            for issue, ports in PARITY_MACHINES:
+                machine = dict(issue=issue, ports=ports, seed=seed)
+                reference = api.explore(workload, jobs=1, **machine)
+                served = c.explore(workload, **machine)
+                assert schema.explore_digest(served) == \
+                    schema.explore_digest(schema.explore_payload(reference))
+                for budget in PARITY_BUDGETS:
+                    selection = api.evaluate(reference, max_area=budget)
+                    answer = c.evaluate(workload, max_area=budget,
+                                        **machine)
+                    assert answer["area"] == selection.area
+                    assert schema.selection_digest(answer) == \
+                        schema.selection_digest(
+                            schema.selection_payload(selection))
+    assert dispatches
