@@ -12,9 +12,7 @@ Usage::
     python examples/custom_kernel.py
 """
 
-from repro import ExplorationParams, MachineConfig
-from repro.baselines import GreedyExplorer, SingleIssueExplorer
-from repro.core import MultiIssueExplorer
+from repro import ExplorationParams, MachineConfig, engines
 from repro.graph import build_dfg
 from repro.ir import FunctionBuilder, Program, run_program
 from repro.ir.analysis import liveness
@@ -101,9 +99,9 @@ def main():
     machine = MachineConfig(2, "6/3")
     params = ExplorationParams(max_iterations=150, restarts=3)
     explorers = [
-        ("MI   ", MultiIssueExplorer(machine, params=params, seed=3)),
-        ("SI   ", SingleIssueExplorer(machine, params=params, seed=3)),
-        ("GREEDY", GreedyExplorer(machine)),
+        ("MI   ", engines.create("aco", machine, params=params, seed=3)),
+        ("SI   ", engines.create("si", machine, params=params, seed=3)),
+        ("GREEDY", engines.create("greedy", machine)),
     ]
     for label, explorer in explorers:
         outcome = explorer.explore(dfg)

@@ -9,8 +9,6 @@ given area / ISE-count budget + replacement), so the evaluation sweeps
 of chapter 5 re-use one :class:`ExploredApplication` across budgets.
 """
 
-import warnings
-
 from ..config import DEFAULT_CONSTRAINTS, DEFAULT_PARAMS
 from ..errors import ReproError
 from ..graph.dfg import build_dfg
@@ -23,28 +21,9 @@ from ..sched.list_scheduler import list_schedule
 from ..sched.units import contract_dfg
 from .. import engines
 from .merging import merge_candidates
-from .parallel import parallel_map, resolve_jobs
+from .parallel import resolve_jobs
 from .replacement import replace_and_schedule
 from .selection import select_ises
-
-
-def _explore_block_task(explorer, dfg):
-    """Module-level worker: explore one block DFG (picklable)."""
-    return explorer.explore(dfg)
-
-
-def _default_engine_factory(flow):
-    """Build the flow's engine from the registry (``flow.engine``).
-
-    Module-level (not a lambda) so a flow object with the default
-    factory stays picklable; the engine instance it returns rides into
-    pool workers exactly like the resolved ``batch`` does.
-    """
-    return engines.create(
-        flow.engine, flow.machine, params=flow.params,
-        constraints=flow.constraints, technology=flow.technology,
-        seed=flow.seed, priority=flow.priority, batch=flow.batch,
-        obs=flow.obs)
 
 
 class BlockInstance:
@@ -156,24 +135,7 @@ class ISEDesignFlow:
     def __init__(self, machine, params=None, constraints=None,
                  technology=None, seed=0, priority="children",
                  coverage=0.95, max_blocks=8, max_dfg_nodes=220,
-                 explorer_factory=None, jobs=None, batch=None, obs=None,
-                 *, engine="aco"):
-        if isinstance(constraints, int) and not isinstance(constraints,
-                                                           bool):
-            # Legacy positional call pattern ISEDesignFlow(machine,
-            # params, seed[, jobs]) predating the keyword-only facade
-            # (repro.api).  Remap and warn; remove in 2.0.
-            warnings.warn(
-                "positional ISEDesignFlow(machine, params, seed, jobs) is "
-                "deprecated; use keyword arguments or the repro.explore() "
-                "facade", DeprecationWarning, stacklevel=2)
-            legacy_seed = constraints
-            constraints = None
-            if isinstance(technology, int) and not isinstance(technology,
-                                                              bool):
-                jobs = technology
-                technology = None
-            seed = legacy_seed
+                 jobs=None, batch=None, obs=None, *, engine="aco"):
         self.machine = machine
         self.params = params or DEFAULT_PARAMS
         self.constraints = constraints or DEFAULT_CONSTRAINTS
@@ -197,9 +159,6 @@ class ISEDesignFlow:
         #: construction, not deep inside ``explore_application``.
         engines.describe(engine)
         self.engine = engine
-        if explorer_factory is None:
-            explorer_factory = _default_engine_factory
-        self._explorer_factory = explorer_factory
 
     # -- stage 1: profile + lower ------------------------------------------
 
@@ -272,10 +231,39 @@ class ISEDesignFlow:
                           label=instance.label, weight=instance.weight,
                           nodes=len(instance.dfg))
             obs.gauge("flow.hot_blocks", len(hot))
-        explorer = self._explorer_factory(self)
         jobs = resolve_jobs(self.jobs if jobs is None else jobs, obs=obs)
         with obs.timer("flow.explore_blocks"):
-            results = self._explore_hot_blocks(explorer, hot, jobs)
+            results = self._explore_hot_blocks(hot, jobs)
+        explored = self.assemble(program, blocks, hot, results)
+        if obs:
+            obs.event("flow.explored", program=program.name,
+                      engine=self.engine,
+                      candidates=len(explored.candidates), jobs=jobs)
+        return explored
+
+    def _explore_hot_blocks(self, hot, jobs):
+        """Explore the hot blocks with the flow's registered engine.
+
+        The profile phase's schedule lengths (``base_cycles``) ride
+        along as cost estimates, so the pool dispatches the longest
+        blocks first and short ones backfill behind them.
+        """
+        engine = engines.create(
+            self.engine, self.machine, params=self.params,
+            constraints=self.constraints, technology=self.technology,
+            seed=self.seed, priority=self.priority, batch=self.batch,
+            obs=self.obs)
+        return engine.explore_many(
+            [instance.dfg for instance in hot], jobs=jobs,
+            costs=[instance.base_cycles or 0 for instance in hot])
+
+    def assemble(self, program, blocks, hot, results):
+        """The :class:`ExploredApplication` of ``hot``'s exploration.
+
+        ``results`` holds one :class:`~repro.engines.base.ExplorationResult`
+        per hot block, in order; each candidate's block saving is
+        weighted by its block's profiled frequency.
+        """
         candidates = []
         explored_labels = []
         for instance, result in zip(hot, results):
@@ -284,37 +272,9 @@ class ISEDesignFlow:
                 candidate.weighted_saving = (
                     candidate.cycle_saving * instance.freq)
                 candidates.append(candidate)
-        if obs:
-            obs.event("flow.explored", program=program.name,
-                      engine=self.engine, candidates=len(candidates),
-                      jobs=jobs)
         return ExploredApplication(program, self.machine, blocks, candidates,
                                    explored_labels, self.technology,
                                    self.constraints)
-
-    @staticmethod
-    def _explore_hot_blocks(explorer, hot, jobs):
-        """Explore the hot blocks, fanning out when ``jobs`` > 1.
-
-        Explorers that support :meth:`explore_many` get (block, restart)
-        granularity; others are mapped block-by-block.  Either way the
-        profile phase's schedule lengths (``base_cycles``) ride along
-        as cost estimates, so the pool dispatches the longest blocks
-        first and short ones backfill behind them.
-        """
-        costs = [instance.base_cycles or 0 for instance in hot]
-        explore_many = getattr(explorer, "explore_many", None)
-        if callable(explore_many):
-            try:
-                return explore_many([b.dfg for b in hot], jobs=jobs,
-                                    costs=costs)
-            except TypeError:
-                # Externally-supplied explorer without the costs hook.
-                return explore_many([b.dfg for b in hot], jobs=jobs)
-        return parallel_map(_explore_block_task,
-                            [(explorer, b.dfg) for b in hot], jobs,
-                            obs=getattr(explorer, "obs", None),
-                            costs=costs)
 
     def _select_hot_blocks(self, blocks):
         eligible = [b for b in blocks

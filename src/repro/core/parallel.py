@@ -93,23 +93,6 @@ def resolve_jobs(jobs=None, obs=None):
     return jobs
 
 
-def _captured_call(function, *task):
-    """Run one task under a worker-local observability capture buffer.
-
-    Returns ``(result, records)``; the records are replayed by the
-    parent observer so events survive the process boundary.  The pool
-    workers inline this same pattern around each claimed task.
-    """
-    from ..obs import capture
-
-    capture.begin()
-    try:
-        result = function(*task)
-    finally:
-        records = capture.end()
-    return result, records
-
-
 def parallel_map(function, tasks, jobs, obs=None, costs=None):
     """``[function(*task) for task in tasks]``, optionally pooled.
 

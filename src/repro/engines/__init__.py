@@ -16,9 +16,15 @@ Built-in engines (lazily imported on first use):
 ``isegen``
     ISEGEN-style Kernighan-Lin cut growing (Biswas et al.).
 ``greedy``
-    Deterministic cone growth promoted from the §5 baselines.
+    Deterministic greedy cone growth (the §5 "GREEDY" comparator).
 ``genetic``
     Generational genetic search over hardware subsets.
+``si``
+    Wu et al.'s single-issue, locality-blind ACO (the §5 "SI"
+    comparator).
+``annealing``
+    Simulated annealing over option flips (§2.2's model-choice
+    ablation).
 
 Third-party engines join with ``engines.register("name", MyEngine)``.
 """
@@ -40,6 +46,12 @@ register_lazy("greedy", "repro.engines.greedy", "GreedyEngine",
 register_lazy("genetic", "repro.engines.genetic", "GeneticEngine",
               "generational genetic search over hardware-node subsets "
               "(tournament selection, uniform crossover)")
+register_lazy("si", "repro.engines.si", "SingleIssueEngine",
+              "single-issue, locality-blind ant-colony search "
+              "(Wu et al., the paper's SI comparator)")
+register_lazy("annealing", "repro.engines.annealing", "AnnealingEngine",
+              "simulated annealing over per-operation option flips "
+              "(makespan energy, area tie-break)")
 
 __all__ = [
     "EngineStats", "EvalBudget", "ExplorationResult", "ExplorerEngine",

@@ -21,13 +21,10 @@ each derives its RNG from ``(seed, restart, function, block)`` alone,
 so they can fan out over a process pool (``jobs`` / ``REPRO_JOBS``)
 with results bit-identical to the serial path.
 
-This class *is* the historical ``MultiIssueExplorer`` — the algorithm
-moved here unchanged when the :class:`~repro.engines.base.ExplorerEngine`
-protocol was extracted, and ``repro.core.exploration.MultiIssueExplorer``
-remains as a deprecated alias.  With no :class:`EvalBudget` attached
-the engine behaves bit-identically to every earlier release (the golden
-digests of ``BENCH_sched``/``BENCH_batch``/``BENCH_pool`` pin this); a
-budget only ever *stops* work early, never reorders it.
+With no :class:`EvalBudget` attached the engine behaves bit-identically
+to every earlier release (the golden digests of
+``BENCH_sched``/``BENCH_batch``/``BENCH_pool`` pin this); a budget only
+ever *stops* work early, never reorders it.
 """
 
 import random
@@ -60,6 +57,8 @@ class AcoEngine(ExplorerEngine):
     name = "aco"
     description = ("multi-issue ant-colony search of the source paper "
                    "(critical-path-aware trails/merits, the default)")
+    #: Tag written on every candidate this engine produces.
+    source = "MI"
 
     def __init__(self, machine, params=None, constraints=None,
                  database=None, technology=None, seed=0,
@@ -227,7 +226,8 @@ class AcoEngine(ExplorerEngine):
                 limit = self.constraints.max_ise_cycles
                 for members, option_of in candidate_members:
                     candidate = ISECandidate(
-                        original_dfg, members, option_of, self.technology)
+                        original_dfg, members, option_of, self.technology,
+                        source=self.source)
                     if limit is not None and candidate.cycles > limit:
                         continue          # pipestage timing constraint
                     trial = candidates + [candidate]

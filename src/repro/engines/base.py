@@ -58,8 +58,7 @@ class ExplorationResult:
         self.iterations = iterations
         #: Per-round convergence traces: list of per-iteration TETs.
         self.traces = [list(t) for t in traces]
-        #: Registry name of the engine that produced this result
-        #: (``""`` for results built by older comparator code).
+        #: Registry name of the engine that produced this result.
         self.engine = engine
 
     @property

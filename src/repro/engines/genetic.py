@@ -21,11 +21,11 @@ contract.
 import random
 
 from ..errors import BudgetExhausted
-from ..baselines.greedy import _fringe
 from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate
 from ..core.make_convex import legalize_components
 from .base import ExplorationResult, ExplorerEngine
+from .greedy import _fringe
 
 #: Individuals per generation.
 POPULATION = 10

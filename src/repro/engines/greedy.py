@@ -1,23 +1,19 @@
-"""Greedy cone growth as a pluggable engine.
+"""Greedy cone growth (Clark-style [6]) as a pluggable engine.
 
-The classic Clark-style baseline promoted from
-:mod:`repro.baselines.greedy` behind the
-:class:`~repro.engines.base.ExplorerEngine` protocol: grow a candidate
-cone from every groupable seed by absorbing the legal neighbour that
-maximises collapsed-chain gain, keep the cone whose fixing improves the
-block's metered list schedule the most, repeat round-wise until nothing
-helps.  Fully deterministic — ``seed`` and ``restarts`` change nothing
-— which makes it the cheapest yard-stick in engine tournaments: any
-stochastic engine burning a real evaluation budget should beat it.
-
-(The original :class:`~repro.baselines.greedy.GreedyExplorer` remains
-for the §5 comparator tables; this engine differs in that it scores
-through the shared metered/cached evaluator and honours
-``max_ise_cycles``.)
+Grow a candidate cone from every groupable seed by absorbing the legal
+neighbour that maximises collapsed-chain gain, keep the cone whose
+fixing improves the block's metered list schedule the most, repeat
+round-wise until nothing helps.  Fully deterministic — ``seed`` and
+``restarts`` change nothing — which makes it the cheapest yard-stick in
+engine tournaments (any stochastic engine burning a real evaluation
+budget should beat it) and the "GREEDY" comparator of the §5 tables.
+The fringe and chain helpers below are shared with the ISEGEN and
+genetic engines.
 """
 
+import networkx as nx
+
 from ..errors import BudgetExhausted
-from ..baselines.greedy import _chain, _fringe
 from ..graph.analysis import is_legal
 from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate
@@ -31,7 +27,7 @@ class GreedyEngine(ExplorerEngine):
     description = ("deterministic greedy cone growth around each seed "
                    "node (the classic single-pass baseline)")
 
-    #: Cone size ceiling (matches the §5 baseline).
+    #: Cone size ceiling.
     max_size = 8
 
     def explore(self, dfg, io_tables=None, jobs=None):
@@ -135,3 +131,24 @@ class GreedyEngine(ExplorerEngine):
         if saving <= 0:
             return 0.0
         return saving + 1.0 / (1.0 + candidate.area)
+
+
+def _fringe(dfg, members):
+    """Nodes adjacent to ``members`` (either direction), outside it."""
+    fringe = set()
+    for uid in members:
+        fringe.update(dfg.predecessors(uid))
+        fringe.update(dfg.successors(uid))
+    return fringe - set(members)
+
+
+def _chain(dfg, members):
+    """Longest dependence chain (in operations) inside ``members``."""
+    longest = {}
+    for uid in nx.topological_sort(dfg.graph.subgraph(members)):
+        arrival = 0
+        for pred in dfg.predecessors(uid):
+            if pred in members:
+                arrival = max(arrival, longest[pred])
+        longest[uid] = arrival + 1
+    return max(longest.values()) if longest else 0

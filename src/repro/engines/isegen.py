@@ -31,12 +31,12 @@ import random
 import networkx as nx
 
 from ..errors import BudgetExhausted
-from ..baselines.greedy import _chain, _fringe
 from ..graph.analysis import io_counts, is_convex
 from ..graph.bitset import bitset_view
 from ..core.candidate import ISECandidate
 from ..core.make_convex import legalize_components
 from .base import ExplorationResult, ExplorerEngine
+from .greedy import _chain, _fringe
 
 #: KL passes per round before the search is declared converged.
 MAX_PASSES = 4

@@ -26,30 +26,27 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: LRU byte bound over the cache directory (unset/0 = unbounded).
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
-#: Subpackages whose sources determine an exploration's outcome (and
-#: the pickled ``ExploredApplication`` layout).
-_ALGORITHM_PACKAGES = ("core", "engines", "sched", "graph", "hwlib")
-
-
 @functools.lru_cache(maxsize=1)
 def code_fingerprint():
-    """Digest of the algorithm modules' sources, computed once.
+    """Digest of every module source of the package, computed once.
 
     Mixed into every exploration-cache key, so bundles written by any
-    other version of the algorithm code miss instead of answering for
-    this one — on the local disk and on the remote tier alike.
+    other version of the code miss instead of answering for this one —
+    on the local disk and on the remote tier alike.  The whole package
+    is hashed: besides the algorithm, the IR passes and interpreter
+    (DFGs, block frequencies), the ISA, the workloads and the
+    configuration defaults all decide an exploration's outcome.
     """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     digest = hashlib.sha256()
-    for package in _ALGORITHM_PACKAGES:
-        for folder, __, files in sorted(os.walk(os.path.join(root, package))):
-            for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(folder, name)
-                digest.update(os.path.relpath(path, root).encode())
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
+    for folder, __, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            digest.update(os.path.relpath(path, root).encode())
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
     return digest.hexdigest()[:16]
 
 

@@ -23,7 +23,6 @@ import logging
 import os
 import threading
 
-from ..baselines import greedy_explorer_factory, si_explorer_factory
 from ..config import ExplorationParams, ISEConstraints
 from ..core.batch import resolve_batch
 from ..core.flow import ISEDesignFlow
@@ -45,7 +44,10 @@ PROFILES = {
                  max_blocks=8),
 }
 
-ALGORITHMS = ("MI", "SI", "GREEDY")
+#: Registered engine of each comparator algorithm of the §5 tables.
+ENGINE_OF = {"MI": "aco", "SI": "si", "GREEDY": "greedy"}
+
+ALGORITHMS = tuple(ENGINE_OF)
 
 
 def default_profile():
@@ -103,17 +105,12 @@ class EvalContext:
         return self._programs[workload_name]
 
     def _flow(self, machine, algorithm):
-        factory = None
-        if algorithm == "SI":
-            factory = si_explorer_factory
-        elif algorithm == "GREEDY":
-            factory = greedy_explorer_factory
-        elif algorithm != "MI":
+        if algorithm not in ENGINE_OF:
             raise ReproError("unknown algorithm {!r}".format(algorithm))
         return ISEDesignFlow(
             machine, params=self.params, seed=self.seed,
-            max_blocks=self.max_blocks, explorer_factory=factory,
-            jobs=self.jobs, obs=self.obs)
+            max_blocks=self.max_blocks, jobs=self.jobs, obs=self.obs,
+            engine=ENGINE_OF[algorithm])
 
     def _disk_key(self, workload_name, machine, opt_level, algorithm):
         return self.disk_cache.key(

@@ -16,10 +16,13 @@ exploration without letting anyone buy extra *new* evaluations.
 :func:`tournament_record` flattens them for JSON persistence — the
 ``BENCH_tourney.json`` artefact of ``benchmarks/test_bench_tourney.py``.
 
-A block where an engine's budget dies before even the baseline
-evaluation is scored at the block's (separately computed, unmetered)
-baseline cycles and counted in ``exhausted_blocks`` — the engine found
-nothing there, but the race goes on.
+Every engine's candidates are scored by one unmetered referee on the
+race machine: an engine may search a different view of it (``si``
+believes in a 1-issue pipeline), and a set that loses cycles there is
+not adopted, as the design flow keeps the original code.  A block where
+an engine's budget dies before even the baseline evaluation is scored
+at the block's baseline cycles and counted in ``exhausted_blocks`` —
+the engine found nothing there, but the race goes on.
 """
 
 import time
@@ -82,47 +85,47 @@ def run_tournament(dfgs, machine, *, budget, names=None, params=None,
     names = list(names) if names is not None else list(engines.available())
     kwargs = dict(params=params, constraints=constraints,
                   technology=technology, seed=seed, batch=batch, obs=obs)
-    baselines = _baseline_cycles(dfgs, machine, **kwargs)
+    referee = engines.create("aco", machine, **kwargs)
+    tables = [referee._default_tables(dfg) for dfg in dfgs]
+    baselines = [referee._evaluate(dfg, [], table)
+                 for dfg, table in zip(dfgs, tables)]
     rows = []
     for name in names:
         engine = engines.create(name, machine, **kwargs)
-        finals = []
-        fixed = 0
-        exhausted = 0
+        results = []
         spent = 0
-        detail = []
         start = time.perf_counter()
-        for index, dfg in enumerate(dfgs):
+        for dfg in dfgs:
             engine.budget = EvalBudget(budget)
             try:
-                result = engine.explore(dfg, jobs=1)
-                final = result.final_cycles
-                fixed += len(result.candidates)
+                results.append(engine.explore(dfg, jobs=1))
             except BudgetExhausted:
-                final = baselines[index]
-                exhausted += 1
+                results.append(None)
             spent += engine.budget.spent
-            finals.append(final)
-            detail.append((dfg.function, dfg.label,
-                           baselines[index], final))
         wall = time.perf_counter() - start
+        finals = []
+        detail = []
+        for dfg, table, base, result in zip(dfgs, tables, baselines,
+                                            results):
+            final = base
+            if result is not None:
+                final = min(base, referee._evaluate(
+                    dfg, result.candidates, table))
+            finals.append(final)
+            detail.append((dfg.function, dfg.label, base, final))
         stats = engine.stats()
         rows.append(EngineRow(
             engine=name, description=engines.describe(name),
             base_cycles=sum(baselines), best_cycles=sum(finals),
-            candidates=fixed, evaluations=spent, budget=budget,
+            candidates=sum(len(r.candidates) for r in results
+                           if r is not None),
+            evaluations=spent, budget=budget,
             wall_s=wall, cache_hit_rate=stats.cache_hit_rate,
-            exhausted_blocks=exhausted, blocks=tuple(detail)))
+            exhausted_blocks=results.count(None),
+            blocks=tuple(detail)))
     rows.sort(key=lambda row: (-row.saving, row.evaluations, row.engine))
     return TournamentResult(rows=tuple(rows), budget=budget,
                             num_blocks=len(dfgs))
-
-
-def _baseline_cycles(dfgs, machine, **kwargs):
-    """Unmetered no-ISE cycles per block (the common yard-stick)."""
-    probe = engines.create("aco", machine, **kwargs)
-    return [probe._evaluate(dfg, [], probe._default_tables(dfg))
-            for dfg in dfgs]
 
 
 def render_tournament(result):

@@ -20,7 +20,10 @@ task granularity.
 """
 
 from ..config import ExplorationParams, ISEConstraints
+from ..core.candidate import ISECandidate
+from ..core.make_convex import legalize_components
 from ..engines.aco import AcoEngine
+from ..engines.base import ExplorationResult
 from ..errors import ConfigError, IRError
 from ..graph.dfg import DFG
 from ..hwlib.options import HardwareOption, IOTable, SoftwareOption
@@ -239,40 +242,36 @@ def _apply_area_budget(explorer, dfg, tables, exploration, max_area):
     largest convex remainder) until it fits — co-design tools offer the
     partial block rather than nothing.
     """
-    from ..core.candidate import ISECandidate
-    from ..core.exploration import ExplorationResult
-    from ..core.make_convex import legalize_components
-
     ranked = sorted(exploration.candidates,
                     key=lambda c: (-c.cycle_saving, c.area))
     kept, used = [], 0.0
     for candidate in ranked:
         remaining = max_area - used
-        fitted = _fit_candidate(explorer, dfg, candidate, remaining,
-                                legalize_components, ISECandidate)
+        fitted = _fit_candidate(explorer, dfg, candidate, remaining)
         if fitted is not None:
             kept.append(fitted)
             used += fitted.area
     final = explorer._evaluate(dfg, kept, tables)
     return ExplorationResult(
         dfg, kept, exploration.base_cycles, final,
-        exploration.rounds, exploration.iterations)
+        exploration.rounds, exploration.iterations,
+        engine=exploration.engine)
 
 
-def _fit_candidate(explorer, dfg, candidate, budget, legalize, make):
+def _fit_candidate(explorer, dfg, candidate, budget):
     """Shrink ``candidate`` until its area fits ``budget`` (or None)."""
     members = set(candidate.members)
     option_of = dict(candidate.option_of)
     while len(members) >= 2:
-        trial = make(dfg, members,
-                     {uid: option_of[uid] for uid in members},
-                     explorer.technology, source="PART")
+        trial = ISECandidate(dfg, members,
+                             {uid: option_of[uid] for uid in members},
+                             explorer.technology, source="PART")
         if trial.area <= budget:
             trial.cycle_saving = candidate.cycle_saving
             return trial
         costliest = max(members, key=lambda uid: option_of[uid].area)
         members.discard(costliest)
-        pieces = legalize(dfg, members, explorer.constraints)
+        pieces = legalize_components(dfg, members, explorer.constraints)
         if not pieces:
             return None
         members = set(max(pieces, key=len))

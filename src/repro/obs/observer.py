@@ -16,8 +16,8 @@ Process safety
 --------------
 Observers pickle *by configuration*: crossing into a pool worker they
 drop their sinks and registry and keep only the enabled flag.  Inside a
-worker the pooled wrapper (:func:`repro.core.parallel._captured_call`)
-installs a :mod:`~repro.obs.capture` buffer; every verb then appends a
+worker the pool's task loop (:mod:`repro.core.pool`) wraps each task in
+a :mod:`~repro.obs.capture` buffer; every verb then appends a
 record to it instead of delivering locally.  The parent replays the
 returned records in task order, which equals the serial fire order, so
 sinks see the same stream no matter how many workers ran.

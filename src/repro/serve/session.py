@@ -37,7 +37,7 @@ import threading
 from collections import OrderedDict
 
 from ..config import ISEConstraints
-from ..core.flow import ExploredApplication, ISEDesignFlow
+from ..core.flow import ISEDesignFlow
 from ..core.parallel import resolve_jobs
 from ..ir.passes.pipeline import optimize
 from ..obs import NULL_OBSERVER, CallbackSink, Observer
@@ -214,8 +214,9 @@ class ScopeLane:
         Mirrors :func:`repro.api.explore` +
         :meth:`ISEDesignFlow.explore_application` stage by stage, with
         the single difference that the hot blocks of *all* requests in
-        the group ride one ``_explore_hot_blocks`` fan-out.  The result
-        assembly per request is byte-for-byte the flow's own.
+        the group ride one ``_explore_hot_blocks`` fan-out.  Each
+        request's bundle is then built by its flow's own
+        :meth:`ISEDesignFlow.assemble`.
         """
         from ..api import ExploreResult, _resolve_params
 
@@ -248,28 +249,17 @@ class ScopeLane:
             prepared.append((fingerprint, waiters, req, bundle, flow,
                              program, blocks, hot))
         flow0 = prepared[0][4]
-        explorer = flow0._explorer_factory(flow0)
         jobs = resolve_jobs(served_jobs(flow0.jobs), obs=group_obs)
         all_hot = [b for entry in prepared for b in entry[7]]
-        results = ISEDesignFlow._explore_hot_blocks(explorer, all_hot, jobs)
+        results = flow0._explore_hot_blocks(all_hot, jobs)
         position = 0
         try:
             for (fingerprint, waiters, req, bundle, flow, program, blocks,
                  hot) in prepared:
-                block_results = results[position:position + len(hot)]
+                explored = flow.assemble(
+                    program, blocks, hot,
+                    results[position:position + len(hot)])
                 position += len(hot)
-                candidates = []
-                explored_labels = []
-                for instance, result in zip(hot, block_results):
-                    explored_labels.append(
-                        (instance.function, instance.label))
-                    for candidate in result.candidates:
-                        candidate.weighted_saving = (
-                            candidate.cycle_saving * instance.freq)
-                        candidates.append(candidate)
-                explored = ExploredApplication(
-                    program, flow.machine, blocks, candidates,
-                    explored_labels, flow.technology, flow.constraints)
                 api_result = ExploreResult(
                     workload=bundle.name, opt=req["opt"],
                     issue=req["issue"], ports=req["ports"],

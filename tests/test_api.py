@@ -3,9 +3,7 @@
 The facade contract: ``repro.explore`` / ``repro.evaluate`` are the one
 supported entry point — keyword-only, frozen results, observability via
 ``trace=``/``observer=`` — and they produce *exactly* the numbers the
-engine classes produce when driven by hand.  The old positional
-``ISEDesignFlow(machine, params, seed, jobs)`` form still works but
-warns.
+engine classes produce when driven by hand.
 """
 
 import dataclasses
@@ -122,14 +120,6 @@ class TestEvaluate:
 
 
 class TestLegacyShim:
-    def test_positional_flow_warns_but_works(self):
-        machine = MachineConfig(2, "4/2")
-        params = ExplorationParams(max_iterations=15, restarts=1)
-        with pytest.warns(DeprecationWarning):
-            flow = ISEDesignFlow(machine, params, 5, 2)
-        assert flow.seed == 5
-        assert flow.jobs == 2
-
     def test_keyword_flow_does_not_warn(self, recwarn):
         ISEDesignFlow(MachineConfig(2, "4/2"), seed=5, jobs=2)
         assert not [w for w in recwarn

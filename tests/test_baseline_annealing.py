@@ -1,8 +1,7 @@
-"""Tests for the simulated-annealing comparator."""
+"""Tests for the simulated-annealing engine (``annealing``)."""
 
-import pytest
-
-from repro.baselines import AnnealingExplorer
+from repro import engines
+from repro.engines import EvalBudget
 from repro.graph import check_candidate
 from repro.sched import MachineConfig
 
@@ -10,8 +9,10 @@ from conftest import chain_dfg, diamond_dfg, memory_dfg
 
 
 def make_explorer(seed=3, steps=300, **kwargs):
-    return AnnealingExplorer(MachineConfig(2, "4/2"), seed=seed,
-                             steps=steps, **kwargs)
+    explorer = engines.create("annealing", MachineConfig(2, "4/2"),
+                              seed=seed, **kwargs)
+    explorer.steps = steps
+    return explorer
 
 
 class TestAnnealing:
@@ -57,3 +58,15 @@ class TestAnnealing:
     def test_iterations_reported(self):
         result = make_explorer(steps=120).explore(chain_dfg(4))
         assert 0 < result.iterations <= 120
+
+    def test_budget_stops_with_legal_best_so_far(self):
+        dfg = diamond_dfg()
+        budget = EvalBudget(7)
+        explorer = make_explorer(budget=budget)
+        result = explorer.explore(dfg)
+        assert budget.denied and budget.spent == budget.limit
+        assert explorer.stat_evaluations == budget.spent
+        assert result.final_cycles <= result.base_cycles
+        assert result.iterations < explorer.steps
+        for candidate in result.candidates:
+            check_candidate(dfg, candidate.members, explorer.constraints)

@@ -83,12 +83,18 @@ def test_disk_key_covers_batch_and_code(tmp_path, monkeypatch):
 
 
 def test_code_fingerprint_tracks_algorithm_sources(tmp_path, monkeypatch):
-    """The fingerprint digests the algorithm modules' sources."""
+    """The fingerprint digests every module source of the package:
+    the algorithm, and also the IR passes and the workloads that decide
+    DFGs and block frequencies."""
     root = tmp_path / "repro"
-    for package in persistence._ALGORITHM_PACKAGES:
-        (root / package).mkdir(parents=True)
+    packages = ("core", "engines", "sched", "graph", "hwlib", "ir",
+                "ir/passes", "isa", "workloads")
+    for package in packages:
+        (root / package).mkdir(parents=True, exist_ok=True)
         (root / package / "module.py").write_text("VALUE = 1\n")
+    (root / "config.py").write_text("VALUE = 1\n")
     (root / "eval").mkdir()
+    (root / "eval" / "notes.txt").write_text("not a module\n")
     monkeypatch.setattr(persistence, "__file__",
                         str(root / "eval" / "persistence.py"))
 
@@ -97,9 +103,14 @@ def test_code_fingerprint_tracks_algorithm_sources(tmp_path, monkeypatch):
         return persistence.code_fingerprint()
 
     try:
-        first = fingerprint()
-        assert fingerprint() == first
-        (root / "core" / "module.py").write_text("VALUE = 2\n")
-        assert fingerprint() != first
+        seen = [fingerprint()]
+        assert fingerprint() == seen[0]
+        (root / "eval" / "notes.txt").write_text("edited\n")
+        assert fingerprint() == seen[0]       # only .py sources count
+        for path in ("core/module.py", "ir/passes/module.py",
+                     "workloads/module.py", "config.py"):
+            (root / path).write_text("VALUE = 2\n")
+            seen.append(fingerprint())
+            assert seen[-1] not in seen[:-1], path
     finally:
         persistence.code_fingerprint.cache_clear()

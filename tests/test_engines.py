@@ -15,8 +15,6 @@ Four contracts:
   and only ever fixes constraint-legal candidates.
 """
 
-import warnings
-
 import pytest
 
 from repro import engines
@@ -59,8 +57,17 @@ def _signature(result):
 class TestRegistry:
     def test_builtins_registered(self):
         names = engines.available()
-        assert {"aco", "isegen", "greedy", "genetic"} <= set(names)
+        assert {"aco", "isegen", "greedy", "genetic", "si",
+                "annealing"} <= set(names)
         assert names == tuple(sorted(names))
+
+    @pytest.mark.parametrize("name", ["si", "annealing"])
+    def test_comparators_are_documented_engines(self, name):
+        cls = engines.engine_class(name)
+        assert issubclass(cls, ExplorerEngine)
+        assert cls.name == name
+        assert cls.__doc__.strip() and cls.explore.__doc__.strip()
+        assert engines.describe(name) == cls.description
 
     def test_describe_and_lazy_class(self):
         assert "ant-colony" in engines.describe("aco")
@@ -133,7 +140,7 @@ class TestBudget:
         assert budget.denied and budget.spent == 2
 
     @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
+                                      "genetic", "si", "annealing"])
     @pytest.mark.parametrize("limit", [1, 5])
     def test_stopped_engine_spent_exactly_n(self, hot_dfgs, name, limit):
         budget = EvalBudget(limit)
@@ -166,14 +173,14 @@ class TestBudget:
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
+                                      "genetic", "si", "annealing"])
     def test_same_seed_same_result(self, hot_dfgs, name):
         first = _engine(name).explore(hot_dfgs[0])
         second = _engine(name).explore(hot_dfgs[0])
         assert _signature(first) == _signature(second)
 
     @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
+                                      "genetic", "si", "annealing"])
     def test_serial_matches_pooled(self, hot_dfgs, name):
         serial = _engine(name).explore_many(hot_dfgs, jobs=1)
         pooled = _engine(name).explore_many(hot_dfgs, jobs=2)
@@ -190,7 +197,7 @@ class TestDeterminism:
 
 class TestProtocolConformance:
     @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
+                                      "genetic", "si", "annealing"])
     def test_explore_contract(self, hot_dfgs, name):
         engine = _engine(name)
         assert engine.name == name
@@ -205,7 +212,7 @@ class TestProtocolConformance:
             assert candidate.members <= set(hot_dfgs[0].nodes)
 
     @pytest.mark.parametrize("name", ["aco", "isegen", "greedy",
-                                      "genetic"])
+                                      "genetic", "si", "annealing"])
     def test_explore_many_matches_per_block(self, hot_dfgs, name):
         engine = _engine(name)
         many = engine.explore_many(hot_dfgs, jobs=1)
@@ -213,7 +220,8 @@ class TestProtocolConformance:
         assert [_signature(r) for r in many] == \
             [_signature(r) for r in singles]
 
-    @pytest.mark.parametrize("name", ["isegen", "greedy", "genetic"])
+    @pytest.mark.parametrize("name", ["isegen", "greedy", "genetic",
+                                      "si", "annealing"])
     def test_flow_runs_with_engine(self, name):
         program, args = get_workload("bitcount").build()
         flow = ISEDesignFlow(MACHINE, params=FAST, seed=3, max_blocks=1,
@@ -221,29 +229,3 @@ class TestProtocolConformance:
         report = flow.run(program, args=args, opt_level="O3")
         assert report.final_cycles <= report.baseline_cycles
         assert 0.0 <= report.reduction < 1.0
-
-
-class TestDeprecationShim:
-    def test_multi_issue_explorer_warns_and_is_aco(self):
-        from repro.core.exploration import MultiIssueExplorer
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = MultiIssueExplorer(MACHINE, params=FAST, seed=3)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert isinstance(shim, AcoEngine)
-        assert shim.name == "aco"
-
-    def test_default_flow_factory_does_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            flow = ISEDesignFlow(MACHINE, params=FAST, seed=3)
-            engine = flow._explorer_factory(flow)
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert type(engine) is AcoEngine
-
-    def test_exploration_result_reexported(self):
-        from repro.core.exploration import ExplorationResult
-        from repro.engines.base import ExplorationResult as Canonical
-        assert ExplorationResult is Canonical

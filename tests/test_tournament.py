@@ -47,6 +47,16 @@ class TestRace:
         assert sorted(raced) == sorted(engines.available())
         assert len(raced) == len(set(raced))
 
+    def test_comparators_scored_on_race_machine(self, tourney):
+        rows = {row.engine: row for row in tourney.rows}
+        assert {"si", "annealing"} <= set(rows)
+        for name in ("si", "annealing"):
+            assert rows[name].evaluations > 0
+            # SI searches a 1-issue view, yet every block is scored on
+            # the race machine and never above its baseline.
+            for __, __, base, final in rows[name].blocks:
+                assert final <= base
+
     def test_rows_ordered_best_saving_first(self, tourney):
         savings = [row.saving for row in tourney.rows]
         assert savings == sorted(savings, reverse=True)
