@@ -4,22 +4,20 @@ amortization of the persistent shared-memory pool.
 Runs the reference workload set (crc32, bitcount, adpcm — the same hot
 blocks, parameters and seed as ``test_bench_sched.py``) through
 ``explore_many`` at ``jobs=1,2,4`` and asserts the **serial golden
-digest at every job count** — the pool, its shared-memory broadcast,
-the work-stealing dispatch and the cross-worker shared evalcache must
-all be observationally invisible.  The engine runs as shipped — the
-default lockstep ant batch — so the digest is the *batched* golden
-(``test_bench_batch.py``); batching is resolved once at explorer
-construction and rides to the workers inside the pickled explorer,
-which this parity contract exercises.
+digest at every job count** — the pool, its shared-memory broadcast
+and the work-stealing dispatch must all be observationally invisible.
+The engine runs as shipped — the default lockstep ant batch — so the
+digest is the *batched* golden (``test_bench_batch.py``); batching is
+resolved once at explorer construction and rides to the workers inside
+the pickled explorer, which this parity contract exercises.
 
 Timings land in ``BENCH_pool.json``:
 
 * ``runs`` — wall-clock + speedup per job count (the first pooled run
-  of each count is *cold*: it pays worker spawn + an empty shared
-  cache);
+  of each count is *cold*: it pays worker spawn);
 * ``warm4_s`` / ``startup_amortization`` — a second ``jobs=4`` run on
-  the already-warm pool (live workers, populated shared cache); the
-  cold/warm ratio is the startup cost the persistence amortizes away;
+  the already-warm pool (live workers); the cold/warm ratio is the
+  startup cost the persistence amortizes away;
 * ``pool`` — dispatch/steal/broadcast tallies from the pool itself.
 
 Wall-clock gates (≥2.5x at ``jobs=4``, warm ≥1.5x faster than cold)
@@ -61,7 +59,6 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
     # wall-clock gates below stay opt-in via REPRO_BENCH_STRICT.
     monkeypatch.setattr(parallel, "_available_cpus",
                         lambda: max(4, os.cpu_count() or 1))
-    monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
     shutdown_pools()
 
     dfgs = _hot_dfgs()
@@ -83,7 +80,7 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
             timings[jobs] = seconds
             digests[jobs] = _digest(results)
         # Second jobs=4 exploration on the warm pool: workers already
-        # forked, shared evalcache already populated.
+        # forked.
         warm_results, warm_s = explore_at(4)
         digests["warm"] = _digest(warm_results)
         return timings, digests, warm_s
@@ -91,7 +88,6 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
     timings, digests, warm_s = run_once(benchmark, measure)
     pool = active_pool()
     pool_stats = dict(pool.stats) if pool is not None else {}
-    shared_entries = pool.cache.count if pool is not None else 0
     shutdown_pools()
 
     # Hard contract: the golden bit-parity digest holds at every job
@@ -125,8 +121,6 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
             "tasks": pool_stats.get("tasks", 0),
             "steals": pool_stats.get("steals", 0),
             "broadcast_bytes": pool_stats.get("broadcast_bytes", 0),
-            "shared_cache_entries": shared_entries,
-            "shared_cache_inserts": pool_stats.get("shared_inserts", 0),
         },
         "golden_digest": BATCHED_GOLDEN_DIGEST,
     }
@@ -135,12 +129,12 @@ def test_bench_pool_scaling(benchmark, monkeypatch):
         handle.write("\n")
     print()
     print("pool: serial {:.2f}s | jobs=4 cold {:.2f}s ({:.2f}x) | "
-          "warm {:.2f}s ({:.2f}x cold) | {} steal(s), {} shared "
-          "entrie(s) on {} cpu(s)".format(
+          "warm {:.2f}s ({:.2f}x cold) | {} steal(s) on {} "
+          "cpu(s)".format(
               serial_s, cold4_s,
               serial_s / cold4_s if cold4_s > 0 else 0.0,
               warm_s, amortization, pool_stats.get("steals", 0),
-              shared_entries, os.cpu_count()))
+              os.cpu_count()))
 
     assert all(seconds > 0 for seconds in timings.values())
     if os.environ.get("REPRO_BENCH_STRICT") == "1":

@@ -13,9 +13,7 @@ whole (workload × machine × budget) grid — each cell explored once,
 every budget evaluated against the frozen exploration — and returns a
 frozen :class:`repro.SweepResult` with a content digest.  The same
 grid shards across hosts with ``shard=(i, n)`` (or ``repro sweep
---shard i/n`` on the CLI) and merges back bit-identically; point
-``REPRO_REMOTE_CACHE`` at a ``repro cache-server`` to share the
-evaluation work between the shards.
+--shard i/n`` on the CLI) and merges back bit-identically.
 
 Usage::
 

@@ -167,7 +167,7 @@ def explore(workload, *, issue=2, ports="4/2", profile="quick", jobs=None,
     jobs:
         Worker processes (``None`` → ``$REPRO_JOBS`` or serial); the
         result is bit-identical at any setting.  Pooled workers persist
-        across calls (``REPRO_POOL_PERSIST=0`` opts out).
+        across calls.
     batch:
         Ants advanced in lockstep per ACO iteration batch (``None`` →
         ``$REPRO_ANT_BATCH`` or 16).  ``batch=1`` selects the scalar
@@ -301,8 +301,7 @@ def sweep(workloads, *, machines=None, budgets=None, opt="O3",
     cells that hash onto that shard — partitioning is deterministic by
     cell fingerprint, so ``count`` hosts each running their shard and
     :func:`repro.dist.sweep.merge_sweeps` over the parts reproduce the
-    serial digest bit-identically.  Point ``REPRO_REMOTE_CACHE`` at a
-    ``repro cache-server`` to share evaluation work between shards.
+    serial digest bit-identically.
 
     ``trace``/``observer`` behave as in :func:`explore`; sweep-level
     progress lands on the ``sweep.*`` counters and events.

@@ -24,9 +24,6 @@ Commands
     Run a (workload × machine × budget) design-space sweep — the whole
     grid, one deterministic shard of it (``--shard i/n``), or a merge
     of shard part files (``--merge part0.json part1.json …``).
-``cache-server``
-    Run the remote evalcache server that sweep shards share via
-    ``REPRO_REMOTE_CACHE=host:port``.
 ``serve``
     Run the exploration service daemon: concurrent clients share one
     process's warm pool, per-scope batching and exploration memo (see
@@ -77,8 +74,7 @@ def _add_effort_args(parser):
                              "(default: $REPRO_JOBS or serial); results "
                              "are identical at any setting; workers "
                              "persist in a shared-memory pool across "
-                             "explorations (REPRO_POOL_PERSIST=0 "
-                             "disables reuse)")
+                             "explorations")
     parser.add_argument("--batch", default=None, metavar="B",
                         help="ants advanced in lockstep per ACO "
                              "iteration batch (default: $REPRO_ANT_BATCH "
@@ -348,16 +344,6 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_cache_server(args):
-    from .dist.server import EvalCacheServer
-
-    server = EvalCacheServer(host=args.host, port=args.port,
-                             max_entries=args.max_entries,
-                             max_bytes=args.max_bytes)
-    server.run_blocking()
-    return 0
-
-
 def _cmd_serve(args):
     from .serve.server import ExploreServer
 
@@ -470,29 +456,6 @@ def build_parser():
                             "instead of running the sweep")
     _add_obs_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-
-    cache_server = sub.add_parser(
-        "cache-server",
-        help="run the remote evalcache server (REPRO_REMOTE_CACHE)")
-    from .dist.server import (
-        DEFAULT_MAX_BYTES,
-        DEFAULT_MAX_ENTRIES,
-        DEFAULT_PORT,
-    )
-
-    cache_server.add_argument("--host", default="127.0.0.1")
-    cache_server.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help="TCP port (0 picks a free one; default {})".format(
-            DEFAULT_PORT))
-    cache_server.add_argument(
-        "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
-        help="LRU entry bound (default {})".format(DEFAULT_MAX_ENTRIES))
-    cache_server.add_argument(
-        "--max-bytes", type=int, default=DEFAULT_MAX_BYTES,
-        help="LRU byte bound over values (default {})".format(
-            DEFAULT_MAX_BYTES))
-    cache_server.set_defaults(func=_cmd_cache_server)
 
     serve = sub.add_parser(
         "serve",

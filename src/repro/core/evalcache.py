@@ -3,10 +3,11 @@
 Every exploration round scores its candidate proposals by fixing them
 into the *original* block DFG and list-scheduling the contracted unit
 graph (:meth:`~repro.engines.base.ExplorerEngine._evaluate`).  That
-evaluation is a pure function of the DFG, the trial candidate list and the software
-latencies — and converged restarts propose overwhelmingly overlapping
-candidate sets, so the same schedules are rebuilt from scratch over and
-over.  :class:`EvalCache` memoises the resulting block cycle counts.
+evaluation is a pure function of the DFG, the trial candidate list and
+the software latencies — and converged restarts propose overwhelmingly
+overlapping candidate sets, so the same schedules are rebuilt from
+scratch over and over.  :class:`EvalCache` memoises the resulting
+block cycle counts.
 
 Keys are canonical fingerprints:
 
@@ -23,72 +24,33 @@ Keys are canonical fingerprints:
 * the **software latencies** the evaluation saw (from the io tables).
 
 Because the memoised value is exactly what the evaluation would have
-recomputed, results are bit-identical with the cache on or off; the
-``REPRO_EVALCACHE`` environment variable (default on) exists for A/B
-timing, not correctness.  One cache is shared across all rounds and
-restarts of a block (and across blocks — the DFG digest keys them
-apart).  Under ``jobs>1`` the cache pickles as a read-only warm
-snapshot: workers start from whatever the parent had accumulated and
-count their own hits/misses (replayed into the parent's metrics).
+recomputed, results are bit-identical to recomputing every call.  One
+cache is shared across all rounds and restarts of a block (and across
+blocks — the DFG digest keys them apart).  Under ``jobs>1`` the cache
+pickles as a read-only warm snapshot: workers start from whatever the
+parent had accumulated and count their own hits/misses (replayed into
+the parent's metrics).
 
-Inside a pool worker there is additionally a **shared tier**
-(:class:`repro.core.pool.SharedEvalCache`): a local miss falls back to
-the read-mostly shared-memory table — where a cycle count memoised by
-*any* worker of *any* earlier dispatch may already sit — and every
-locally computed value is appended to a per-worker write log that the
-parent folds into the table between dispatches.  Shared-tier hits are
-tallied separately (``shared_hits``) and promoted into the local dict.
-The shared tier spans explorers with *different* machines and
-technologies (the evaluation grid, the single-issue baseline), so its
-keys are additionally scoped by the ``scope`` string the owning
-explorer passes in — without it a 2-issue cycle count could answer a
-4-issue probe and silently break bit-parity.
-
-Behind both sits the optional **remote tier**
-(:mod:`repro.dist.client`, enabled by ``REPRO_REMOTE_CACHE``): a miss
-in the local dict *and* the shared table finally probes the TCP cache
-server under the same scope-qualified key bytes, so cycle counts flow
-between the hosts of a sharded sweep.  Remote hits are tallied as
-``remote_hits`` and promoted into the nearer tiers — the local dict
-immediately, the shared table via the worker insert log.  Writes are
-batched: serial (non-worker) processes append to the client's insert
-log (flushed as one MPUT), workers rely on the pool parent folding
-their logs into both the shared table and the remote server between
-dispatches.  Every remote operation is best-effort — an unreachable
-server degrades to the lower tiers bit-identically (the memoised value
-is exactly what the evaluation would recompute).
+This per-engine dict is the only evaluation memo.  A cycle count never
+crosses an engine boundary, so the work an
+:class:`~repro.engines.base.EvalBudget` meters is a function of the
+engine's own inputs.
 """
 
 import hashlib
-import os
-
-from ..dist.client import remote_cache
-from .parallel import in_worker
-from .pool import shared_key_bytes, worker_cache_note, worker_shared_cache
-
-#: Environment variable disabling the evaluation memo (set to ``0``).
-EVALCACHE_ENV = "REPRO_EVALCACHE"
 
 #: Entry cap — a backstop against pathological candidate churn, far
 #: above what any real block produces.
 MAX_ENTRIES = 1 << 17
 
-_FALSY = ("0", "false", "no", "off")
-
-
-def evalcache_enabled():
-    """True unless ``REPRO_EVALCACHE`` disables the memo."""
-    return os.environ.get(EVALCACHE_ENV, "1").strip().lower() not in _FALSY
-
 
 def eval_scope(machine, technology):
     """The canonical scope string of one (machine, technology) pair.
 
-    Every shared-tier key (shm table, remote server) and every serve
-    session lane is qualified by this exact string, so "same scope"
-    means the same thing across all of them: a 2-issue cycle count can
-    never answer a 4-issue probe, and the exploration service batches
-    only requests whose evaluations are interchangeable.
+    Every serve session lane is keyed by this exact string, so the
+    exploration service batches only requests whose evaluations are
+    interchangeable: a 2-issue cycle count never answers a 4-issue
+    probe.
     """
     return "{}is|{}|{}|{!r}".format(
         machine.issue_width, machine.register_file.spec,
@@ -125,23 +87,14 @@ def candidate_fingerprint(members, option_of):
 
 
 class EvalCache:
-    """Memo of ``fingerprint -> block cycles`` with hit/miss tallies.
+    """Memo of ``fingerprint -> block cycles`` with hit/miss tallies."""
 
-    ``scope`` qualifies this cache's keys in the cross-worker shared
-    tier (machine + technology identity); it is irrelevant to the local
-    dict, which never outlives its explorer.
-    """
+    __slots__ = ("_entries", "hits", "misses")
 
-    __slots__ = ("_entries", "hits", "misses", "shared_hits",
-                 "remote_hits", "scope")
-
-    def __init__(self, scope=""):
+    def __init__(self):
         self._entries = {}
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        self.remote_hits = 0
-        self.scope = scope
 
     def __len__(self):
         return len(self._entries)
@@ -154,61 +107,18 @@ class EvalCache:
                 software_cycles)
 
     def get(self, key):
-        """Memoised cycles for ``key`` (None on miss).
-
-        Tier order is nearest-first: the local dict, then the attached
-        shared-memory table (pool workers only), then the remote TCP
-        tier (when ``REPRO_REMOTE_CACHE`` is set).  A hit from a
-        farther tier is promoted into the nearer ones — the local dict
-        directly, the shared table via the worker insert log — so
-        repeat probes stay a dict lookup.
-        """
+        """Memoised cycles for ``key`` (None on miss)."""
         value = self._entries.get(key)
-        if value is not None:
+        if value is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return value
-        key_bytes = None
-        shared = worker_shared_cache()
-        if shared is not None:
-            key_bytes = shared_key_bytes(self.scope, key)
-            cycles = shared.lookup(key_bytes)
-            if cycles is not None:
-                self.hits += 1
-                self.shared_hits += 1
-                if len(self._entries) < MAX_ENTRIES:
-                    self._entries[key] = cycles
-                return cycles
-        remote = remote_cache()
-        if remote is not None:
-            if key_bytes is None:
-                key_bytes = shared_key_bytes(self.scope, key)
-            cycles = remote.get_cycles(key_bytes)
-            if cycles is not None:
-                self.hits += 1
-                self.remote_hits += 1
-                if len(self._entries) < MAX_ENTRIES:
-                    self._entries[key] = cycles
-                worker_cache_note(self.scope, key, cycles)
-                return cycles
-        self.misses += 1
-        return None
+        return value
 
     def put(self, key, cycles):
-        """Record an evaluation outcome in every reachable tier.
-
-        The local dict stores it directly; the shared and remote tiers
-        receive it through insert logs — the per-worker log the pool
-        parent folds between dispatches, or (serial processes only) the
-        remote client's batched MPUT log.
-        """
+        """Record an evaluation outcome (up to :data:`MAX_ENTRIES`)."""
         if len(self._entries) < MAX_ENTRIES:
             self._entries[key] = cycles
-        worker_cache_note(self.scope, key, cycles)
-        if type(cycles) is int and not in_worker():
-            remote = remote_cache()
-            if remote is not None:
-                remote.put_cycles(shared_key_bytes(self.scope, key),
-                                  cycles)
 
     def stats(self):
         """``(hits, misses, entries)`` snapshot."""
@@ -217,17 +127,14 @@ class EvalCache:
     # -- pickling: warm read-only snapshot for pool workers ----------------
 
     def __getstate__(self):
-        return {"entries": dict(self._entries), "scope": self.scope}
+        return {"entries": dict(self._entries)}
 
     def __setstate__(self, state):
         self._entries = state["entries"]
-        self.scope = state.get("scope", "")
         # Worker-side tallies restart at zero so the deltas each task
         # replays into the parent metrics are intrinsic to that task.
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        self.remote_hits = 0
 
     def __repr__(self):
         return "EvalCache({} entries, {} hits / {} misses)".format(

@@ -21,28 +21,19 @@ slowest block.  This module replaces that with one long-lived
   runs of a shared claim array; a worker that drains its own run steals
   from the tail of the most-loaded victim, so short blocks backfill
   behind long ones instead of idling on a static grid.
-* **Shared warm evalcache** — a read-mostly open-addressed hash table
-  in a second shared-memory segment memoizes deterministic candidate
-  evaluations *across* workers and dispatches.  Workers read it
-  lock-free during a dispatch; their new entries travel back with the
-  task results as write logs and are folded in by the parent between
-  dispatches (single-writer, quiescent-reader — no torn rows).
 
 Results are **bit-identical to serial** at any worker count: tasks keep
-their submission identity, the reduction order is unchanged, and a
-shared-cache hit returns exactly the cycle count the evaluation would
-have recomputed.  Observability records are replayed in task
-(= serial fire) order even when a stolen task finishes early.
+their submission identity and the reduction order is unchanged.
+Observability records are replayed in task (= serial fire) order even
+when a stolen task finishes early.
 
-``REPRO_POOL_PERSIST=0`` is the escape hatch: every dispatch then runs
-on a throwaway pool (same work-stealing path, no warm state).
-Segments are unlinked on :func:`shutdown_pools` — wired into
-``EvalContext.close()`` — and by an ``atexit`` fallback, so a crashed
-or killed run does not strand ``/dev/shm`` blocks.
+The broadcast segment is unlinked when its dispatch ends, even when a
+worker dies mid-dispatch, so a killed run does not strand ``/dev/shm``
+blocks.  Workers stop on :func:`shutdown_pools` — wired into
+``EvalContext.close()`` — and by an ``atexit`` fallback.
 """
 
 import atexit
-import hashlib
 import os
 import pickle
 import threading
@@ -50,198 +41,8 @@ import multiprocessing
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 
-import numpy as np
-
-from ..dist.client import remote_cache
 from ..errors import ReproError
 from ..obs import capture
-
-#: Set to ``0`` to tear the pool down after every dispatch.
-POOL_PERSIST_ENV = "REPRO_POOL_PERSIST"
-
-#: Slot count of the shared evalcache segment (24 bytes per slot).
-POOL_SHARED_SLOTS_ENV = "REPRO_POOL_SHARED_SLOTS"
-
-_DEFAULT_SLOTS = 1 << 15
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def pool_persist_enabled():
-    """True unless ``REPRO_POOL_PERSIST`` disables pool reuse."""
-    return os.environ.get(POOL_PERSIST_ENV, "1").strip().lower() \
-        not in _FALSY
-
-
-def _shared_slots():
-    try:
-        slots = int(os.environ.get(POOL_SHARED_SLOTS_ENV, _DEFAULT_SLOTS))
-    except ValueError:
-        return _DEFAULT_SLOTS
-    return max(64, slots)
-
-
-def shared_key_bytes(scope, key):
-    """Canonical bytes of one evalcache key *within* ``scope``.
-
-    The per-explorer :class:`~repro.core.evalcache.EvalCache` never
-    needs a scope — one instance serves one (machine, technology) pair.
-    The shared tier outlives explorers and spans the whole evaluation
-    grid, so the machine/technology identity must be part of the key or
-    a 2-issue cycle count could answer a 4-issue probe.  The remote
-    tier also outlives client upgrades, so the algorithm-code
-    fingerprint is part of the key too: a row written by another
-    version of ``sched/`` misses instead of answering for this one.
-    """
-    from ..eval.persistence import code_fingerprint
-
-    return "{}|{}|{!r}".format(scope, code_fingerprint(), key).encode(
-        "utf-8", "backslashreplace")
-
-
-class SharedEvalCache:
-    """Open-addressed ``hash128 -> cycles`` table in shared memory.
-
-    Rows are three little-endian int64s ``(hi, lo, value)``; a row is
-    empty iff both hash words are zero.  The parent is the only writer
-    and only writes while workers are quiescent (between dispatches),
-    so readers never see a torn row; the value word is stored before
-    the key words as a belt-and-braces ordering anyway.
-    """
-
-    ROW_BYTES = 24
-
-    def __init__(self, slots=None, _attach_name=None):
-        self.slots = slots if slots is not None else _shared_slots()
-        if _attach_name is None:
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=self.slots * self.ROW_BYTES)
-            self._owner = True
-        else:
-            self._shm = shared_memory.SharedMemory(name=_attach_name)
-            self._owner = False
-        self._table = np.ndarray((self.slots, 3), dtype=np.int64,
-                                 buffer=self._shm.buf)
-        if self._owner:
-            self._table[:] = 0
-        #: Entries inserted (owner-side bookkeeping only).
-        self.count = 0
-        #: Stop inserting beyond this load so probes stay short.
-        self.limit = int(self.slots * 0.85)
-
-    @classmethod
-    def attach(cls, name, slots):
-        """Reader-side attachment to an existing segment."""
-        return cls(slots=slots, _attach_name=name)
-
-    @property
-    def name(self):
-        """Segment name (``None`` once closed)."""
-        return self._shm.name if self._shm is not None else None
-
-    @staticmethod
-    def _hash(key_bytes):
-        digest = hashlib.sha1(key_bytes).digest()
-        hi = int.from_bytes(digest[:8], "little", signed=True)
-        lo = int.from_bytes(digest[8:16], "little", signed=True)
-        if hi == 0 and lo == 0:       # reserve (0, 0) for "empty"
-            lo = 1
-        return hi, lo
-
-    def lookup(self, key_bytes):
-        """Memoized cycles for ``key_bytes``, or ``None``."""
-        hi, lo = self._hash(key_bytes)
-        table = self._table
-        slots = self.slots
-        index = lo % slots
-        for __ in range(slots):
-            row_hi = table[index, 0]
-            row_lo = table[index, 1]
-            if row_hi == 0 and row_lo == 0:
-                return None
-            if row_hi == hi and row_lo == lo:
-                return int(table[index, 2])
-            index += 1
-            if index == slots:
-                index = 0
-        return None
-
-    def insert(self, key_bytes, value):
-        """Record one entry (owner only, workers quiescent)."""
-        hi, lo = self._hash(key_bytes)
-        return self._insert_hashed(hi, lo, value)
-
-    def _insert_hashed(self, hi, lo, value):
-        if self.count >= self.limit:
-            return False
-        table = self._table
-        slots = self.slots
-        index = lo % slots
-        for __ in range(slots):
-            row_hi = table[index, 0]
-            row_lo = table[index, 1]
-            if row_hi == hi and row_lo == lo:
-                return False          # already present
-            if row_hi == 0 and row_lo == 0:
-                table[index, 2] = value
-                table[index, 1] = lo
-                table[index, 0] = hi
-                self.count += 1
-                return True
-            index += 1
-            if index == slots:
-                index = 0
-        return False
-
-    def snapshot_rows(self):
-        """Copy of the used rows (to seed a replacement pool's cache)."""
-        table = self._table
-        used = (table[:, 0] != 0) | (table[:, 1] != 0)
-        return table[used].copy()
-
-    def preload(self, rows):
-        """Re-insert rows captured by :meth:`snapshot_rows`."""
-        for hi, lo, value in rows:
-            self._insert_hashed(int(hi), int(lo), int(value))
-
-    def close(self):
-        """Drop this process's mapping (readers and owner)."""
-        if self._shm is None:
-            return
-        self._table = None
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._shm = None
-
-
-# -- worker-side shared-cache hooks ---------------------------------------
-#
-# The per-explorer EvalCache probes/logs through these module globals so
-# it needs no reference to the pool object: outside a dispatch both stay
-# None and the hooks cost one global read.
-
-_WORKER_SHARED = None
-_WORKER_LOG = None
-
-
-def worker_shared_cache():
-    """The attached shared cache while executing a pooled task."""
-    return _WORKER_SHARED
-
-
-def worker_cache_note(scope, key, cycles):
-    """Log one locally-computed evaluation for the parent to fold in.
-
-    Only plain ints fit the table's int64 value word; anything else
-    simply stays out of the shared tier (never the local one).
-    """
-    log = _WORKER_LOG
-    if log is not None and type(cycles) is int:
-        log.append((shared_key_bytes(scope, key), cycles))
 
 
 # -- the worker process ----------------------------------------------------
@@ -272,67 +73,52 @@ def _claim_slot(claim, lock, nworkers, me):
         return claim[nworkers + victim], True
 
 
-def _worker_main(worker_id, nworkers, conn, claim, lock, cache_name,
-                 cache_slots):
+def _worker_main(worker_id, nworkers, conn, claim, lock):
     """Worker loop: wait for a broadcast, drain/steal tasks, repeat."""
-    global _WORKER_SHARED, _WORKER_LOG
     from . import parallel
 
     parallel._mark_worker()
-    shared = None
-    try:
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message[0] == "stop":
+            break
+        __, segment_name, nbytes = message
+        segment = shared_memory.SharedMemory(name=segment_name)
+        try:
+            function, tasks, assign, capturing = pickle.loads(
+                segment.buf[:nbytes])
+        finally:
+            segment.close()
+        done = 0
         while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
+            slot, stolen = _claim_slot(claim, lock, nworkers, worker_id)
+            if slot is None:
                 break
-            if message[0] == "stop":
-                break
-            __, segment_name, nbytes = message
-            segment = shared_memory.SharedMemory(name=segment_name)
+            task_index = assign[slot]
             try:
-                function, tasks, assign, capturing = pickle.loads(
-                    segment.buf[:nbytes])
-            finally:
-                segment.close()
-            if shared is None and cache_name is not None:
-                shared = SharedEvalCache.attach(cache_name, cache_slots)
-            _WORKER_SHARED = shared
-            _WORKER_LOG = log = []
-            done = 0
-            while True:
-                slot, stolen = _claim_slot(claim, lock, nworkers, worker_id)
-                if slot is None:
-                    break
-                task_index = assign[slot]
-                mark = len(log)
-                try:
-                    if capturing:
-                        capture.begin()
-                        try:
-                            result = function(*tasks[task_index])
-                        finally:
-                            records = capture.end()
-                    else:
-                        records = None
-                        result = function(*tasks[task_index])
-                except BaseException as exc:  # ships to the parent
+                if capturing:
+                    capture.begin()
                     try:
-                        conn.send(("error", worker_id, task_index, exc))
-                    except Exception:
-                        conn.send(("error", worker_id, task_index,
-                                   ReproError(repr(exc))))
-                    continue
-                done += 1
-                conn.send(("done", worker_id, task_index, result,
-                           records, log[mark:], stolen))
-            _WORKER_LOG = None
-            conn.send(("drained", worker_id, done))
-    finally:
-        _WORKER_LOG = None
-        _WORKER_SHARED = None
-        if shared is not None:
-            shared.close()
+                        result = function(*tasks[task_index])
+                    finally:
+                        records = capture.end()
+                else:
+                    records = None
+                    result = function(*tasks[task_index])
+            except BaseException as exc:  # ships to the parent
+                try:
+                    conn.send(("error", worker_id, task_index, exc))
+                except Exception:
+                    conn.send(("error", worker_id, task_index,
+                               ReproError(repr(exc))))
+                continue
+            done += 1
+            conn.send(("done", worker_id, task_index, result, records,
+                       stolen))
+        conn.send(("drained", worker_id, done))
 
 
 # -- the pool --------------------------------------------------------------
@@ -340,7 +126,7 @@ def _worker_main(worker_id, nworkers, conn, claim, lock, cache_name,
 class WorkerPool:
     """A fixed set of forked workers fed through shared memory."""
 
-    def __init__(self, workers, cache_rows=None):
+    def __init__(self, workers):
         if workers < 1:
             raise ReproError("a worker pool needs at least one worker")
         self.workers = workers
@@ -351,22 +137,9 @@ class WorkerPool:
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        self.cache = SharedEvalCache()
-        if cache_rows is not None:
-            self.cache.preload(cache_rows)
         #: Lifetime tallies surfaced by the bench and the obs gauges.
         self.stats = {"dispatches": 0, "tasks": 0, "steals": 0,
-                      "broadcast_bytes": 0, "shared_inserts": 0,
-                      "remote_preload_rows": 0, "remote_folds": 0}
-        # Seed the shared table from the remote tier *before* forking,
-        # so every worker's first dispatch already sees sweep-wide
-        # warm entries.  Best-effort: an unreachable server preloads
-        # nothing and costs one (breaker-gated) round trip.
-        remote = remote_cache()
-        if remote is not None:
-            for key_bytes, cycles in remote.snapshot_cycle_rows():
-                if self.cache.insert(key_bytes, cycles):
-                    self.stats["remote_preload_rows"] += 1
+                      "broadcast_bytes": 0}
         self._claim = self._ctx.Array("q", 2 * workers + 1, lock=False)
         self._lock = self._ctx.Lock()
         self._procs = []
@@ -376,7 +149,7 @@ class WorkerPool:
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(worker_id, workers, child_conn, self._claim,
-                      self._lock, self.cache.name, self.cache.slots),
+                      self._lock),
                 daemon=True)
             proc.start()
             # Close the parent's copy of the child end *before* forking
@@ -432,7 +205,6 @@ class WorkerPool:
         results = [None] * n
         received = [False] * n
         replays = []
-        cache_log = []
         steals = 0
         done_per_worker = [0] * workers_used
         error = None
@@ -458,8 +230,7 @@ class WorkerPool:
                                 pending[conn]))
                     kind = message[0]
                     if kind == "done":
-                        (__, wid, index, result, records, log,
-                         stolen) = message
+                        __, wid, index, result, records, stolen = message
                         results[index] = result
                         received[index] = True
                         done_per_worker[wid] += 1
@@ -467,8 +238,6 @@ class WorkerPool:
                             steals += 1
                         if records:
                             replays.append((index, records))
-                        if log:
-                            cache_log.extend(log)
                     elif kind == "error":
                         error = message[3]
                         with self._lock:
@@ -496,25 +265,10 @@ class WorkerPool:
             self._mark_broken()
             self.shutdown()
             raise ReproError("pool dispatch lost task results")
-        # Quiescent point: every worker is back on conn.recv(), so the
-        # parent may fold the write logs into the shared table — and,
-        # when a remote tier is configured, into the cache server in
-        # the same batched rhythm (workers never write remotely
-        # themselves).
-        inserts = 0
-        for key_bytes, value in cache_log:
-            if self.cache.insert(key_bytes, value):
-                inserts += 1
-        if cache_log:
-            remote = remote_cache()
-            if remote is not None:
-                remote.put_many_cycles(cache_log)
-                self.stats["remote_folds"] += 1
         self.stats["dispatches"] += 1
         self.stats["tasks"] += n
         self.stats["steals"] += steals
         self.stats["broadcast_bytes"] += len(payload)
-        self.stats["shared_inserts"] += inserts
         if capturing:
             # Replay in task (= serial fire) order: a stolen task may
             # *finish* out of submission order, but its records must
@@ -529,7 +283,6 @@ class WorkerPool:
             obs.gauge("pool.workers", workers_used)
             obs.gauge("pool.worker_occupancy",
                       active / workers_used if workers_used else 0.0)
-            obs.gauge("pool.shared_entries", self.cache.count)
         return results
 
     # -- lifecycle --------------------------------------------------------
@@ -542,7 +295,7 @@ class WorkerPool:
         self.broken = True
 
     def shutdown(self):
-        """Stop the workers and unlink every shared segment.
+        """Stop the workers.
 
         Idempotent and safe to call from several threads (a server's
         lifecycle teardown can race the ``atexit`` fallback): only the
@@ -571,7 +324,6 @@ class WorkerPool:
                 pass
         self._procs = []
         self._conns = []
-        self.cache.close()
         self.broken = True
 
 
@@ -627,21 +379,14 @@ def active_pool():
 
 
 def get_pool(jobs):
-    """The persistent pool, (re)created to hold at least ``jobs`` workers.
-
-    Growing the pool replaces it, seeding the new shared evalcache from
-    the old one so accumulated evaluations survive the resize.
-    """
+    """The persistent pool, (re)created to hold at least ``jobs`` workers."""
     global _POOL
     with _STATE_LOCK:
-        seed_rows = None
         if _POOL is not None and (_POOL.broken or _POOL.workers < jobs):
-            if not _POOL.broken:
-                seed_rows = _POOL.cache.snapshot_rows()
             _POOL.shutdown()
             _POOL = None
         if _POOL is None:
-            _POOL = WorkerPool(jobs, cache_rows=seed_rows)
+            _POOL = WorkerPool(jobs)
         return _POOL
 
 
@@ -658,16 +403,8 @@ def dispatch(function, tasks, jobs, obs=None, costs=None):
         _fire_dispatch_hooks("start", info)
         ok = False
         try:
-            if pool_persist_enabled():
-                results = get_pool(jobs).run(function, tasks, jobs=jobs,
-                                             obs=obs, costs=costs)
-            else:
-                pool = WorkerPool(jobs)
-                try:
-                    results = pool.run(function, tasks, jobs=jobs, obs=obs,
-                                       costs=costs)
-                finally:
-                    pool.shutdown()
+            results = get_pool(jobs).run(function, tasks, jobs=jobs,
+                                         obs=obs, costs=costs)
             ok = True
             return results
         finally:
@@ -675,7 +412,7 @@ def dispatch(function, tasks, jobs, obs=None, costs=None):
 
 
 def shutdown_pools():
-    """Tear down the persistent pool and unlink its shared segments.
+    """Tear down the persistent pool.
 
     Idempotent and ordering-safe: concurrent callers (a server's stop
     path racing the ``atexit`` fallback, or an ``EvalContext.close()``
@@ -684,7 +421,7 @@ def shutdown_pools():
     dispatch to finish, then tears down; a dispatch that starts *after*
     the teardown simply recreates the pool.  Wired into
     ``EvalContext.close()`` and registered as an ``atexit`` fallback so
-    segments never outlive the process — even when a run is
+    workers never outlive the process — even when a run is
     interrupted.
     """
     global _POOL
@@ -694,9 +431,6 @@ def shutdown_pools():
             _POOL = None
         if pool is not None:
             pool.shutdown()
-        remote = remote_cache()
-        if remote is not None:
-            remote.flush()
 
 
 atexit.register(shutdown_pools)

@@ -13,9 +13,6 @@ The dispatcher deliberately shards at cell granularity rather than
 (block, restart): cells are the unit whose results serialise cleanly
 (frozen rows), and *within* a shard each exploration still fans its
 (block, restart) grid over the host's persistent warm worker pool.
-Cross-shard reuse happens through the remote evalcache tier
-(:mod:`repro.dist.client`): shard A's cycle counts answer shard B's
-probes whenever their machine scopes coincide.
 
 :func:`run_sweep` executes one shard (or the whole grid), returning a
 :class:`SweepResult` whose JSON payload round-trips exactly —
@@ -29,7 +26,6 @@ from dataclasses import dataclass
 from ..errors import ReproError
 from ..obs import ensure_observer
 from ..sched.machine import PAPER_CASES
-from .client import remote_cache, remote_counters
 
 #: Default area budgets of the example sweep (µm²).
 DEFAULT_BUDGETS = (20_000, 80_000, 320_000)
@@ -229,7 +225,6 @@ def run_sweep(*, workloads, machines=PAPER_CASES, budgets=DEFAULT_BUDGETS,
         obs.count("sweep.cells_skipped", len(cells) - len(owned))
         obs.event("sweep.start", cells=len(cells), owned=len(owned),
                   shard_index=shard_index, shard_count=shard_count)
-    remote_before = remote_counters()
     rows = []
     for cell in owned:
         workload, ports, issue = cell
@@ -252,17 +247,7 @@ def run_sweep(*, workloads, machines=PAPER_CASES, budgets=DEFAULT_BUDGETS,
                     area=selection.area))
         if obs:
             obs.count("sweep.rows", len(budgets))
-        # Publish this cell's insert log before the next one starts, so
-        # concurrent shards see each other's work as early as possible.
-        remote = remote_cache()
-        if remote is not None:
-            remote.flush()
     if obs:
-        remote_after = remote_counters()
-        for name, before in remote_before.items():
-            delta = remote_after[name] - before
-            if delta:
-                obs.count("remote." + name, delta)
         obs.event("sweep.done", rows=len(rows),
                   shard_index=shard_index, shard_count=shard_count)
     result = SweepResult(

@@ -163,18 +163,14 @@ class AcoEngine(ExplorerEngine):
         obs = self.obs
         if obs:
             cache = self._evalcache
-            before = cache.stats() if cache is not None else None
-            before_shared = cache.shared_hits if cache is not None else 0
+            before = cache.stats()
             with obs.timer("explore.restart"):
                 result = self._explore_once(dfg, rng, io_tables,
                                             restart=restart)
-            if cache is not None:
-                hits, misses, entries = cache.stats()
-                obs.count("evalcache.hits", hits - before[0])
-                obs.count("evalcache.misses", misses - before[1])
-                obs.count("evalcache.shared_hits",
-                          cache.shared_hits - before_shared)
-                obs.gauge("evalcache.entries", entries)
+            hits, misses, entries = cache.stats()
+            obs.count("evalcache.hits", hits - before[0])
+            obs.count("evalcache.misses", misses - before[1])
+            obs.gauge("evalcache.entries", entries)
             return result
         return self._explore_once(dfg, rng, io_tables, restart=restart)
 

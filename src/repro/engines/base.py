@@ -41,7 +41,7 @@ from ..hwlib.technology import DEFAULT_TECHNOLOGY
 from ..obs import ensure_observer
 from ..sched.list_scheduler import list_schedule
 from ..sched.units import contract_dfg
-from ..core.evalcache import EvalCache, eval_scope, evalcache_enabled
+from ..core.evalcache import EvalCache
 from ..core.parallel import parallel_map, resolve_jobs
 
 
@@ -135,8 +135,7 @@ class EngineStats:
     """Uniform counters snapshot of one engine instance.
 
     ``evaluations`` counts the uncached ``_evaluate`` computations the
-    engine actually performed — with the evalcache enabled it equals
-    ``cache_misses``; with the cache disabled it is the only record.
+    engine actually performed; it equals ``cache_misses``.
     ``budget_spent``/``budget_limit`` are ``None`` for unmetered runs.
     """
 
@@ -233,15 +232,10 @@ class ExplorerEngine:
         #: Uncached ``_evaluate`` computations this instance performed.
         self.stat_evaluations = 0
         #: Memo of deterministic candidate evaluations, shared across
-        #: rounds, restarts and blocks (``REPRO_EVALCACHE=0`` disables).
-        #: Pool workers receive it inside the pickled engine as a
-        #: warm read-only snapshot and additionally probe the pool's
-        #: cross-worker shared tier, whose keys are scoped by the
-        #: machine/technology identity below — ``_evaluate`` depends on
-        #: both, and the shared tier outlives this engine (see
+        #: rounds, restarts and blocks.  Pool workers receive it inside
+        #: the pickled engine as a warm read-only snapshot (see
         #: :mod:`repro.core.evalcache`).
-        scope = eval_scope(self.machine, self.technology)
-        self._evalcache = EvalCache(scope) if evalcache_enabled() else None
+        self._evalcache = EvalCache()
 
     # -- the protocol ------------------------------------------------------
 
@@ -282,9 +276,7 @@ class ExplorerEngine:
 
     def stats(self):
         """An :class:`EngineStats` snapshot of this instance."""
-        hits = misses = entries = 0
-        if self._evalcache is not None:
-            hits, misses, entries = self._evalcache.stats()
+        hits, misses, entries = self._evalcache.stats()
         budget = self.budget
         return EngineStats(
             engine=self.name or type(self).__name__,
@@ -320,14 +312,12 @@ class ExplorerEngine:
             software_cycles = {uid: io_tables[uid].software[0].cycles
                                for uid in dfg.nodes if uid in io_tables}
         cache = self._evalcache
-        key = None
-        if cache is not None:
-            latencies = (None if software_cycles is None
-                         else tuple(sorted(software_cycles.items())))
-            key = cache.key(dfg, candidates, latencies)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
+        latencies = (None if software_cycles is None
+                     else tuple(sorted(software_cycles.items())))
+        key = cache.key(dfg, candidates, latencies)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
         if self.budget is not None:
             self.budget.charge()
         self.stat_evaluations += 1
@@ -336,8 +326,7 @@ class ExplorerEngine:
                                     software_cycles=software_cycles)
         schedule = list_schedule(graph, units, self.machine)
         makespan = schedule.makespan
-        if cache is not None:
-            cache.put(key, makespan)
+        cache.put(key, makespan)
         return makespan
 
     def _min_delay_options(self, dfg, members):

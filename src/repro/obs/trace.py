@@ -44,10 +44,8 @@ def summarize_trace(records):
     ``metrics`` (last registry snapshot, when the trace has one),
     ``pool`` (the ``pool.*`` counters/gauges of that snapshot — worker
     pool dispatches, steals, broadcast bytes, occupancy — or ``None``
-    for serial runs), ``remote`` (``remote.*`` counters of the remote
-    evalcache tier, or ``None`` when no server was configured) and
-    ``sweep`` (``sweep.*`` counters plus the last ``sweep.done``
-    payload, or ``None`` outside sweep runs).
+    for serial runs) and ``sweep`` (``sweep.*`` counters plus the last
+    ``sweep.done`` payload, or ``None`` outside sweep runs).
     """
     kinds = {}
     blocks = []
@@ -94,7 +92,7 @@ def summarize_trace(records):
             metrics = record
         elif kind == "sweep.done":
             sweep_done = record
-    pool = remote = sweep = None
+    pool = sweep = None
     if metrics is not None:
         def section(prefix):
             return {name: value
@@ -103,7 +101,6 @@ def summarize_trace(records):
                     if name.startswith(prefix)} or None
 
         pool = section("pool.")
-        remote = section("remote.")
         sweep = section("sweep.")
     if sweep_done is not None:
         sweep = dict(sweep or {})
@@ -120,7 +117,6 @@ def summarize_trace(records):
         "evaluate": evaluate,
         "metrics": metrics,
         "pool": pool,
-        "remote": remote,
         "sweep": sweep,
     }
 
@@ -161,15 +157,6 @@ def render_summary(summary):
                 pool.get("pool.dispatches", 0), pool.get("pool.tasks", 0),
                 pool.get("pool.steals", 0),
                 pool.get("pool.broadcast_bytes", 0)))
-    remote = summary.get("remote")
-    if remote:
-        lines.append(
-            "remote cache: {} hit(s), {} miss(es), {} put(s), "
-            "{} error(s)".format(
-                remote.get("remote.hits", 0),
-                remote.get("remote.misses", 0),
-                remote.get("remote.puts", 0),
-                remote.get("remote.errors", 0)))
     sweep = summary.get("sweep")
     if sweep:
         done = sweep.get("done") or {}

@@ -1,8 +1,8 @@
 """Serve request validation, fingerprints and result payloads.
 
 Requests are plain JSON objects (the framed bodies of
-:mod:`repro.dist.protocol`'s serve extension).  Validation here is
-strict and structural — unknown ops, unknown keys and wrong types are
+:mod:`repro.dist.protocol`).  Validation here is strict and
+structural — unknown ops, unknown keys and wrong types are
 :class:`RequestError` (answered as a structured ``ERR`` frame), while
 semantic failures (an unknown workload or engine name) surface later
 from the exploration machinery itself.
@@ -263,12 +263,11 @@ def compat_key(req):
 
 
 def request_scope(req):
-    """The serve lane key: the machine's shared-evalcache scope string.
+    """The serve lane key: the machine's evaluation scope string.
 
     Explore/evaluate requests land on the lane of their machine scope
-    (the same string that qualifies shared/remote evalcache keys, so
-    "same lane" and "same cache scope" are one concept); sweeps span
-    machines and run on a dedicated ``sweep`` lane.
+    (:func:`repro.core.evalcache.eval_scope`); sweeps span machines and
+    run on a dedicated ``sweep`` lane.
     """
     if req["op"] == "sweep":
         return "sweep"

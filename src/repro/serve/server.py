@@ -1,7 +1,7 @@
 """The exploration service front end: ``repro serve``.
 
-One asyncio process accepts framed-JSON requests (the serve extension
-of :mod:`repro.dist.protocol`) and multiplexes them onto per-scope
+One asyncio process accepts framed-JSON requests (the wire format of
+:mod:`repro.dist.protocol`) and multiplexes them onto per-scope
 worker lanes (:mod:`repro.serve.session`).  The event loop never
 explores: every execution request becomes a :class:`WorkItem` whose
 completion is marshalled back via ``loop.call_soon_threadsafe``, so the
@@ -9,9 +9,8 @@ loop stays responsive for status probes, cancels and new connections
 while explorations grind on the shared worker pool, which the server
 forks once at start (lanes keep only preparation and selection).
 
-Connection discipline mirrors :class:`repro.dist.server.EvalCacheServer`
-— one read loop per connection, length-prefix validation first — with
-two differences a service needs:
+Connection discipline: one read loop per connection, length-prefix
+validation first, plus two things a service needs:
 
 * **multiplexing** — the client chooses a ``request_id`` per request
   and any number may be in flight on one connection; responses and
@@ -34,7 +33,7 @@ import itertools
 import threading
 
 from ..core.parallel import resolve_jobs
-from ..core.pool import get_pool, pool_persist_enabled, shutdown_pools
+from ..core.pool import get_pool, shutdown_pools
 from ..dist import protocol
 from . import schema
 from .schema import RequestError
@@ -79,10 +78,10 @@ class _Session:
 class ExploreServer:
     """Asyncio TCP front end over the scope-lane registry.
 
-    Lifecycle matches the evalcache server: :meth:`start_in_thread`
-    from tests/benchmarks (returns the bound port), :meth:`run_blocking`
-    from the CLI, :meth:`stop` for an idempotent teardown that also
-    drains the lanes and releases the worker pool.
+    Lifecycle: :meth:`start_in_thread` from tests/benchmarks (returns
+    the bound port), :meth:`run_blocking` from the CLI, :meth:`stop`
+    for an idempotent teardown that also drains the lanes and releases
+    the worker pool.
     """
 
     def __init__(self, host="127.0.0.1", port=0,
@@ -445,7 +444,7 @@ class ExploreServer:
         single-CPU host resolves to one job and forks nothing.
         """
         jobs = resolve_jobs(served_jobs(None))
-        if jobs > 1 and pool_persist_enabled():
+        if jobs > 1:
             get_pool(jobs)
 
     def run_blocking(self, announce=True):

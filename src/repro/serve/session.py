@@ -2,11 +2,10 @@
 
 The server (:mod:`repro.serve.server`) never explores on its event
 loop.  Each request is wrapped in a :class:`WorkItem` and queued onto
-the :class:`ScopeLane` of its machine scope — the same scope string
-that qualifies shared/remote evalcache keys
-(:func:`repro.core.evalcache.eval_scope`), so requests that can share
-evaluation work share a lane by construction.  One daemon thread per
-lane drains its queue in batches:
+the :class:`ScopeLane` of its machine scope
+(:func:`repro.core.evalcache.eval_scope`), so requests whose
+evaluations are interchangeable share a lane by construction.  One
+daemon thread per lane drains its queue in batches:
 
 1. **memo** — a request whose :func:`~repro.serve.schema.explore_fingerprint`
    was already explored on this lane answers from the lane's bounded

@@ -3,13 +3,21 @@
 Deliverable (e) requires doc comments on every public item; this test
 walks the whole package and fails on any public module, class, function
 or method without a docstring, so documentation debt cannot creep in.
+It also holds the environment knobs the package reads to the ones
+``docs/PARAMETERS.md`` documents, in both directions.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import re
 
 import repro
+
+_KNOB = re.compile(r"REPRO_[A-Z0-9_]*[A-Z0-9]")
+_DOC_ROW = re.compile(r"^\| `(REPRO_[A-Z0-9_]+)` \|", re.MULTILINE)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Names that are legitimately docstring-free (dataclass auto-methods
 #: and the like are filtered structurally, not listed here).
@@ -73,3 +81,22 @@ def test_public_methods_documented():
                         module.__name__, cls_name, name))
     assert not missing, \
         "undocumented methods: {}".format(sorted(missing))
+
+
+def _source_knobs():
+    knobs = set()
+    for folder, __, files in os.walk(os.path.join(_ROOT, "src", "repro")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as handle:
+                    knobs.update(_KNOB.findall(handle.read()))
+    return knobs
+
+
+def test_env_knobs_match_parameters_doc():
+    """Every ``REPRO_*`` name under ``src/`` has a row in a
+    ``docs/PARAMETERS.md`` table, and every row names a live knob."""
+    with open(os.path.join(_ROOT, "docs", "PARAMETERS.md")) as handle:
+        documented = set(_DOC_ROW.findall(handle.read()))
+    assert "REPRO_JOBS" in documented             # the parse found rows
+    assert _source_knobs() == documented

@@ -22,7 +22,6 @@ from repro import api
 from repro.core.pool import (
     active_pool,
     add_dispatch_hook,
-    pool_persist_enabled,
     remove_dispatch_hook,
 )
 from repro.dist import protocol
@@ -468,8 +467,6 @@ PARITY_BUDGETS = (10_000.0, 20_000.0, 40_000.0, 80_000.0, 160_000.0,
 
 
 def test_server_forks_its_pool_at_start(pool_server):
-    if not pool_persist_enabled():
-        pytest.skip("persistent pool disabled (REPRO_POOL_PERSIST=0)")
     pool = active_pool()
     assert pool is not None and pool.workers == 2
     pids = pool.worker_pids()

@@ -13,8 +13,6 @@ import json
 import pytest
 
 from repro.api import sweep as api_sweep
-from repro.dist.client import REMOTE_ENV, remote_cache, reset_remote_cache
-from repro.dist.server import EvalCacheServer
 from repro.dist.sweep import (
     SweepResult,
     SweepRow,
@@ -43,8 +41,6 @@ def shared_disk_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         CACHE_DIR_ENV,
         str(tmp_path_factory.getbasetemp() / "sweep_cache"))
-    monkeypatch.delenv(REMOTE_ENV, raising=False)
-    reset_remote_cache()
 
 
 # -- partitioning -----------------------------------------------------------
@@ -120,48 +116,6 @@ def test_sweep_payload_roundtrip(shared_disk_cache):
     payload["_schema"] = 999
     with pytest.raises(ReproError):
         SweepResult.from_payload(payload)
-
-
-def test_dead_remote_server_changes_nothing(shared_disk_cache,
-                                            monkeypatch, tmp_path):
-    """Acceptance: an unreachable cache server degrades to the local
-    tiers without error or result change."""
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "local_only"))
-    local = api_sweep(**TINY)
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "dead_remote"))
-    monkeypatch.setenv(REMOTE_ENV, "127.0.0.1:1")     # nothing listens
-    monkeypatch.setenv("REPRO_REMOTE_TIMEOUT", "0.05")
-    reset_remote_cache()
-    try:
-        degraded = api_sweep(**TINY)
-    finally:
-        reset_remote_cache()
-    assert degraded.rows == local.rows
-    assert degraded.digest == local.digest
-
-
-def test_live_remote_server_shares_work(monkeypatch, tmp_path):
-    """A second host (fresh disk cache) reuses the first host's work
-    through the cache server — and gets identical rows."""
-    server = EvalCacheServer(port=0)
-    server.start_in_thread()
-    monkeypatch.setenv(CACHE_ENV, "1")
-    monkeypatch.setenv(REMOTE_ENV, server.address)
-    monkeypatch.setenv("REPRO_REMOTE_TIMEOUT", "5.0")
-    reset_remote_cache()
-    try:
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "host_a"))
-        cold = api_sweep(**TINY)
-        assert server.store.inserted > 0              # work published
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "host_b"))
-        warm = api_sweep(**TINY)
-        tallies = remote_cache().tallies
-        assert tallies["hits"] + tallies["blob_hits"] > 0
-    finally:
-        reset_remote_cache()
-        server.stop()
-    assert warm.rows == cold.rows
-    assert warm.digest == cold.digest
 
 
 # -- merge error paths ------------------------------------------------------
